@@ -102,11 +102,6 @@ struct DaemonOutcome {
   DaemonExit exit = DaemonExit::Idle;
 };
 
-/// Historical name for a claim surfaced by find_stale_claims()
-/// (lease.hpp), kept for existing callers: the lease subsystem's
-/// ClaimInfo is a strict superset of the old StaleClaim shape.
-using StaleClaim = ClaimInfo;
-
 /// Serve the queue until STOP or idle timeout; see the file comment for
 /// the protocol.  Throws DistribError only for an unusable queue (missing
 /// root, bad worker id, un-creatable subdirectories) — per-task failures

@@ -170,15 +170,4 @@ std::vector<ClaimInfo> list_claims(const std::string& queue_dir) {
   return claims;
 }
 
-std::vector<ClaimInfo> find_stale_claims(const std::string& queue_dir,
-                                         double stale_after_s) {
-  std::vector<ClaimInfo> stale = list_claims(queue_dir);
-  stale.erase(std::remove_if(stale.begin(), stale.end(),
-                             [stale_after_s](const ClaimInfo& claim) {
-                               return !claim.expired(stale_after_s);
-                             }),
-              stale.end());
-  return stale;
-}
-
 }  // namespace drowsy::distrib

@@ -19,14 +19,14 @@
 // humans reading the file.
 //
 // list_claims() is the one scanner everything liveness-related shares:
-// `shard status` renders it, find_stale_claims() filters it, and the
-// reaper (reaper.hpp) acts on it.  A claim's "last seen" instant is the
-// freshest of its lease renewal and its worker's metrics-snapshot
-// heartbeat; a claim with neither (written by a pre-lease daemon, or
-// parked by hand) falls back to the manifest file's own mtime — which
-// dates from `shard plan` and therefore ages even while the owner
-// works, so it is only trusted against the caller's generous threshold,
-// never a lease TTL.
+// `shard status` renders it (its stale list is this filtered by
+// ClaimInfo::expired), and the reaper (reaper.hpp) acts on it.  A
+// claim's "last seen" instant is the freshest of its lease renewal and
+// its worker's metrics-snapshot heartbeat; a claim with neither
+// (written by a pre-lease daemon, or parked by hand) falls back to the
+// manifest file's own mtime — which dates from `shard plan` and
+// therefore ages even while the owner works, so it is only trusted
+// against the caller's generous threshold, never a lease TTL.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +65,7 @@ void write_lease_file(const std::string& path, const Lease& lease);
 [[nodiscard]] Lease read_lease_file(const std::string& path);
 
 /// One manifest sitting in some worker's claimed/ directory, with its
-/// liveness evidence resolved.  This is also the legacy `StaleClaim`
-/// shape (daemon.hpp aliases it): `age_s`/`from_snapshot` keep their
-/// pre-lease meaning for existing consumers.
+/// liveness evidence resolved.
 struct ClaimInfo {
   std::string manifest_path;  ///< <queue>/claimed/<worker>/<name>.json
   std::string worker_id;
@@ -98,12 +96,5 @@ struct ClaimInfo {
 /// claimed/ directory has no claims; a missing queue root throws
 /// DistribError.
 [[nodiscard]] std::vector<ClaimInfo> list_claims(const std::string& queue_dir);
-
-/// list_claims() filtered to the reapable: leased claims past their own
-/// TTL plus lease-less claims not seen for `stale_after_s` seconds.
-/// Read-only — surfacing parked work is safe anywhere; re-enqueueing it
-/// is the reaper's job (reaper.hpp).
-[[nodiscard]] std::vector<ClaimInfo> find_stale_claims(const std::string& queue_dir,
-                                                       double stale_after_s);
 
 }  // namespace drowsy::distrib

@@ -7,8 +7,7 @@
 // every worker's snapshot into one fleet view, and the snapshot file's
 // mtime doubles as the worker's heartbeat: a claim whose worker keeps
 // flushing is alive no matter how old the claim's manifest is
-// (distrib::find_stale_claims prefers this signal — the groundwork for
-// the ROADMAP item-3 reaper).
+// (distrib::list_claims prefers this signal, and the reaper acts on it).
 //
 // Snapshots are observability artifacts, NOT deterministic outputs:
 // `updated_unix_ms` is wall clock and the event profile carries dispatch

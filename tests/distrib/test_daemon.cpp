@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "distrib/merge.hpp"
@@ -87,6 +88,17 @@ struct DaemonFixture : ::testing::Test {
   /// gtest's ASSERT_* macros cannot run in non-void helpers.
   static void ASSERT_TRUE_OR_THROW(bool ok) {
     if (!ok) throw std::runtime_error("fixture setup failed");
+  }
+
+  /// The reapable subset of one list_claims() snapshot, filtered the way
+  /// `shard status` derives its stale list.
+  static std::vector<dt::ClaimInfo> stale_claims(const fs::path& root,
+                                                 double stale_after_s) {
+    std::vector<dt::ClaimInfo> stale;
+    for (dt::ClaimInfo& claim : dt::list_claims(root.string())) {
+      if (claim.expired(stale_after_s)) stale.push_back(std::move(claim));
+    }
+    return stale;
   }
 };
 
@@ -176,7 +188,7 @@ TEST_F(DaemonFixture, RestartResumesOwnClaimedTasks) {
 TEST_F(DaemonFixture, StaleClaimsAreFoundByAgeAndWorker) {
   const fs::path root = make_queue("stale", 2);
   // No claimed/ directory yet: nothing is stale, and that is not an error.
-  EXPECT_TRUE(dt::find_stale_claims(root.string(), 0.0).empty());
+  EXPECT_TRUE(stale_claims(root, 0.0).empty());
 
   // A worker claims shard 0 and dies; back-date the claim two hours.
   const fs::path claimed = root / "claimed" / "deadworker";
@@ -188,18 +200,18 @@ TEST_F(DaemonFixture, StaleClaimsAreFoundByAgeAndWorker) {
   ASSERT_TRUE_OR_THROW(
       sc::write_file((claimed / "shard_0.journal.jsonl").string(), "{}\n"));
 
-  const auto stale = dt::find_stale_claims(root.string(), 3600.0);
+  const auto stale = stale_claims(root, 3600.0);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].worker_id, "deadworker");
   EXPECT_EQ(stale[0].manifest_path, (claimed / "shard_0.json").string());
   EXPECT_GE(stale[0].age_s, 3600.0);
 
   // A generous threshold keeps a live worker's claim off the list.
-  EXPECT_TRUE(dt::find_stale_claims(root.string(), 3 * 3600.0).empty());
+  EXPECT_TRUE(stale_claims(root, 3 * 3600.0).empty());
 
   // A missing queue root stays a hard error, matching run_daemon.
-  EXPECT_THROW(static_cast<void>(dt::find_stale_claims(
-                   (fs::path(::testing::TempDir()) / "drowsy_q_missing").string(), 1.0)),
+  EXPECT_THROW(static_cast<void>(
+                   stale_claims(fs::path(::testing::TempDir()) / "drowsy_q_missing", 1.0)),
                dt::DistribError);
 }
 
@@ -233,13 +245,13 @@ TEST_F(DaemonFixture, StaleClaimsPreferTheMetricsHeartbeat) {
   snap.worker_id = "slowworker";
   snap.updated_unix_ms = obs::wall_clock_unix_ms();
   obs::write_snapshot_file((root / "metrics" / "slowworker.json").string(), snap);
-  EXPECT_TRUE(dt::find_stale_claims(root.string(), 3600.0).empty());
+  EXPECT_TRUE(stale_claims(root, 3600.0).empty());
 
   // Once the heartbeat itself goes silent, the claim is stale again —
   // and flagged as judged by the snapshot, not the manifest.
   fs::last_write_time(root / "metrics" / "slowworker.json",
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto stale = dt::find_stale_claims(root.string(), 3600.0);
+  const auto stale = stale_claims(root, 3600.0);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].worker_id, "slowworker");
   EXPECT_TRUE(stale[0].from_snapshot);
@@ -251,9 +263,9 @@ TEST_F(DaemonFixture, StaleClaimsPreferTheMetricsHeartbeat) {
   fs::rename(root / "shard_1.json", claimed2 / "shard_1.json");
   fs::last_write_time(claimed2 / "shard_1.json",
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto both = dt::find_stale_claims(root.string(), 3600.0);
+  const auto both = stale_claims(root, 3600.0);
   ASSERT_EQ(both.size(), 2u);
-  for (const dt::StaleClaim& claim : both) {
+  for (const dt::ClaimInfo& claim : both) {
     if (claim.worker_id == "quietworker") {
       EXPECT_FALSE(claim.from_snapshot);
     }
@@ -337,7 +349,7 @@ TEST_F(DaemonFixture, LeaseFilesAreNotMistakenForTasks) {
   EXPECT_EQ(outcome.failed, 0u) << "lease file must not be quarantined";
   EXPECT_TRUE(fs::exists(root / "done" / "shard_0.json"));
   EXPECT_FALSE(fs::exists(root / "failed" / "shard_0.lease.json"));
-  // And find_stale_claims reports exactly one claim for the pair, not two.
+  // And the stale scan reports exactly one claim for the pair, not two.
   fs::create_directories(root / "claimed" / "w2");
   fs::copy_file(root / "done" / "shard_0.json",
                 root / "claimed" / "w2" / "shard_0.json");
@@ -349,7 +361,7 @@ TEST_F(DaemonFixture, LeaseFilesAreNotMistakenForTasks) {
       lease);
   fs::last_write_time(root / "claimed" / "w2" / "shard_0.lease.json",
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto stale = dt::find_stale_claims(root.string(), 3600.0);
+  const auto stale = stale_claims(root, 3600.0);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_TRUE(stale[0].has_lease);
 }

@@ -654,13 +654,10 @@ int cmd_shard_status(int argc, char** argv) {
         totals.push_back(std::move(t));
       });
   const dt::Coverage cov = dt::cover_grid(jobs, entries);
-  // Stale claims park their shard until a daemon with the same worker
-  // id returns; surface them so the operator can restart or re-enqueue
-  // (the first step toward an automatic reaper).
-  std::vector<dt::StaleClaim> stale;
-  // Every claim in flight, with its lease evidence — the stale list is
-  // this filtered by expiry, but dashboards want the healthy ones too
-  // (how much lease headroom does the fleet have?).
+  // Every claim in flight, with its lease evidence — one scan, so the
+  // stale list (this filtered by ClaimInfo::expired) and the healthy
+  // rows always describe the same snapshot.  Stale claims park their
+  // shard until a reaper or a daemon with the same worker id returns.
   std::vector<dt::ClaimInfo> claims;
   // The reap history: how many times this queue recovered a dead
   // worker's claim (reaped/reap.journal.jsonl).
@@ -672,7 +669,6 @@ int cmd_shard_status(int argc, char** argv) {
   std::vector<drowsy::obs::WorkerSnapshot> workers;
   if (!opts.queue_dir.empty()) {
     claims = dt::list_claims(opts.queue_dir);
-    stale = dt::find_stale_claims(opts.queue_dir, opts.stale_after_s);
     try {
       reaps = dt::read_reap_journal(opts.queue_dir);
     } catch (const std::exception& e) {
@@ -740,7 +736,9 @@ int cmd_shard_status(int argc, char** argv) {
     for (const dt::ClaimInfo& claim : claims) all_claims.push_back(claim_row(claim));
     j.set("claims", std::move(all_claims));
     ec::Json stale_rows = ec::Json::array();
-    for (const dt::StaleClaim& claim : stale) stale_rows.push_back(claim_row(claim));
+    for (const dt::ClaimInfo& claim : claims) {
+      if (claim.expired(opts.stale_after_s)) stale_rows.push_back(claim_row(claim));
+    }
     j.set("stale_claims", std::move(stale_rows));
     j.set("reap_count", static_cast<std::uint64_t>(reaps.size()));
     ec::Json fleet = ec::Json::array();
@@ -781,7 +779,8 @@ int cmd_shard_status(int argc, char** argv) {
                   claim.lease_remaining_s);
     }
   }
-  for (const dt::StaleClaim& claim : stale) {
+  for (const dt::ClaimInfo& claim : claims) {
+    if (!claim.expired(opts.stale_after_s)) continue;
     std::printf(
         "  warning: stale claim %s (worker %s, %s %.0f s%s) — run `shard reap`, "
         "or restart a daemon with --worker-id %s\n",
