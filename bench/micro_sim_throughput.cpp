@@ -26,13 +26,11 @@
 // the bare queue; the breakdown is additive in the JSON record
 // ("event_profile"), so older baseline parsers keep working.
 //
-//   micro_sim_throughput [--events N] [--runs N] [--bench-json F]
+// `bench_micro_sim_throughput --help` lists the flags.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "expctl/json.hpp"
@@ -42,6 +40,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/event_queue.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -138,33 +137,8 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::size_t event_count = 2'000'000;
-  std::size_t run_count = 3;
-  std::string bench_json;
-  for (int i = 1; i < argc; ++i) {
-    const auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--events") == 0) {
-      event_count = static_cast<std::size_t>(std::atoll(value("--events")));
-    } else if (std::strcmp(argv[i], "--runs") == 0) {
-      run_count = static_cast<std::size_t>(std::atoll(value("--runs")));
-    } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-      bench_json = value("--bench-json");
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--events N] [--runs N] [--bench-json F]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int run_bench(std::size_t event_count, std::size_t run_count,
+              const std::string& bench_json) {
   const double event_wall_s = event_phase(event_count);
   const double events_per_sec =
       event_wall_s > 0.0 ? static_cast<double>(event_count) / event_wall_s : 0.0;
@@ -246,4 +220,21 @@ int main(int argc, char** argv) {
     if (!sc::write_file(bench_json, j.dump())) return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::size_t event_count = 2'000'000;
+  std::size_t run_count = 3;
+  std::string bench_json;
+  namespace fl = drowsy::util::flags;
+  const std::vector<fl::Command> commands = {
+      {"", "Time the event core and whole scenario runs.", {},
+       [&] { return run_bench(event_count, run_count, bench_json); },
+       {fl::integer("--events", "N", "per-phase events; default 2000000", event_count),
+        fl::integer("--runs", "N", "timed netsim-failover runs; default 3", run_count),
+        fl::string("--bench-json", "F", "write the record as JSON", bench_json)}},
+  };
+  return fl::dispatch("bench_micro_sim_throughput", commands, argc, argv);
 }

@@ -94,6 +94,12 @@ const Study* StudyRegistry::find(const std::string& name) const {
   return nullptr;
 }
 
+StudyParams Study::params_with(const std::vector<std::string>& overrides) const {
+  StudyParams out = params;
+  for (const std::string& token : overrides) out.set_from_token(token);
+  return out;
+}
+
 const Study& StudyRegistry::at(const std::string& name) const {
   const Study* s = find(name);
   if (s == nullptr) throw StudyError("no such study: " + name);

@@ -87,6 +87,9 @@ struct Study {
   std::string csv_header;
   StudyParams params;  ///< declared knobs with their defaults
 
+  /// `params` overridden by `--set name=value` tokens, applied in order.
+  [[nodiscard]] StudyParams params_with(const std::vector<std::string>& overrides) const;
+
   /// Build the sweep grid for a parameter set.  Pure; the resulting
   /// SweepSpec round-trips through expctl::to_json for sharded runs.
   std::function<expctl::SweepSpec(const StudyParams&)> sweep;

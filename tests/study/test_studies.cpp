@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "util/flags.hpp"
 
+namespace fl = drowsy::util::flags;
 namespace sc = drowsy::scenario;
 namespace st = drowsy::study;
 
@@ -99,6 +101,31 @@ TEST(StudyParams, UnknownNamesAreErrorsBothWays) {
   EXPECT_EQ(params.get_int("days"), 3);
   EXPECT_THROW(params.set_from_token("days"), st::StudyError);
   EXPECT_THROW(params.set_from_token("days=abc"), st::StudyError);
+}
+
+// `study run|dump|reduce` collect --set tokens wherever they appear and
+// apply them after the study lookup, so the order on the command line
+// does not matter.
+TEST(StudyParams, SetOverridesApplyInEitherArgumentOrder) {
+  const auto params_of = [](const std::vector<std::string>& tokens) {
+    std::string name;
+    std::vector<std::string> sets;
+    const fl::Command command{"study run", "", {{"<study>", name}}, [] { return 0; },
+                              {fl::strings("--set", "k=v", "", sets)}};
+    fl::parse(command, tokens);
+    return st::StudyRegistry::builtin().at(name).params_with(sets);
+  };
+  const st::StudyParams before =
+      params_of({"--set", "days=3", "--set", "rate=60", "fig3-grace-ablation"});
+  const st::StudyParams after =
+      params_of({"fig3-grace-ablation", "--set", "days=3", "--set", "rate=60"});
+  EXPECT_EQ(before.items(), after.items());
+  EXPECT_EQ(before.get_int("days"), 3);
+  EXPECT_EQ(before.get_int("rate"), 60);
+  // Repeated overrides of one name apply in order: the last one wins.
+  EXPECT_EQ(params_of({"--set", "days=4", "fig3-grace-ablation", "--set", "days=5"})
+                .get_int("days"),
+            5);
 }
 
 TEST(Fig1Study, SharedWorkloadRowsAreIdentical) {

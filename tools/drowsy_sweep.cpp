@@ -1,101 +1,9 @@
-// drowsy_sweep — drive the scenario catalogue from JSON sweep files,
-// no recompilation required.
+// drowsy_sweep — drive the scenario catalogue from JSON sweep files: run
+// a sweep in one process or sharded across machines, reproduce the
+// paper's figures as studies, and list the chaos suite's crash points.
 //
-//   drowsy_sweep run <sweep.json> [--threads N] [--alpha A]
-//                    [--csv stats.csv] [--runs-csv runs.csv]
-//                    [--json stats.json] [--verdicts-csv verdicts.csv]
-//                    [--bench-json bench.json] [--trace-out DIR]
-//                    [--metrics-json metrics.json]
-//       Expand the sweep into its (scenario x axes x policy x seed) job
-//       grid, execute it on the parallel BatchRunner (traces materialized
-//       once per sweep via TraceCache), print the replicate-statistics
-//       table (mean ± CI-95) and the per-policy-pair Welch verdicts, and
-//       optionally write CSV/JSON artifacts plus a wall-clock/trace-cache
-//       benchmark record.  --trace-out writes one Perfetto-loadable
-//       timeline per run into DIR, stamped in sim time and byte-identical
-//       at any --threads value; --metrics-json flushes a worker metrics
-//       snapshot (obs/snapshot.hpp) after every finished run.
-//   drowsy_sweep validate <sweep.json>
-//       Parse and expand without running; prints the job count.
-//   drowsy_sweep list
-//       Registry scenario names with descriptions.
-//   drowsy_sweep dump [<scenario>...]
-//       Serialize registry scenarios (all by default) as JSON — the
-//       starting point for hand-edited sweep files.
-//
-// Sharded execution (multi-machine sweeps; see README "Sharded sweeps"):
-//
-//   drowsy_sweep shard plan <sweep.json> --shards N
-//                    [--strategy contiguous|strided|balanced] [--out-dir D]
-//       Split the job grid into N shards (balanced by estimated job cost
-//       by default) and write one manifest per shard to D (default ".").
-//   drowsy_sweep shard run <manifest.json> [--sweep PATH] [--threads N]
-//                    [--journal F]
-//       Execute a shard's outstanding jobs, appending each finished run
-//       to the journal (default: <manifest stem>.journal.jsonl).  Safe to
-//       kill and re-invoke: completed (spec-hash, policy, seed) jobs are
-//       skipped and a torn journal tail is truncated.
-//   drowsy_sweep shard merge <sweep.json> --journal F [--journal F ...]
-//                    [--alpha A] [--csv F] [--runs-csv F] [--json F]
-//                    [--verdicts-csv F]
-//       Validate that the journals cover the grid exactly once, restore
-//       canonical job order, and emit the same tables/artifacts as `run`
-//       — byte-identical to a single-process execution of the sweep.
-//   drowsy_sweep shard status <sweep.json> --journal F [--journal F ...]
-//                    [--queue-dir D] [--stale-after-s S] [--json]
-//       Coverage report: completed/missing/duplicate/foreign counts plus
-//       per-journal measured wall-clock totals.  With --queue-dir, also
-//       merge every worker's metrics snapshot (<queue>/metrics/*.json)
-//       into the fleet view and warn about manifests parked in
-//       claimed/<worker>/ whose worker has not been seen for longer than
-//       the threshold (default 900 s) — staleness prefers the worker's
-//       snapshot heartbeat over the manifest's mtime.  --json emits the
-//       same report as one JSON document (stale claims and workers
-//       included) for reapers and dashboards; exit codes are unchanged.
-//   drowsy_sweep shard daemon <queue-dir> [--worker-id W] [--threads N]
-//                    [--poll-ms P] [--max-idle-s S] [--lease-ttl-s S]
-//                    [--no-reap]
-//       Long-running worker: claim manifests from the queue directory
-//       (atomic rename; safe with many daemons on a shared filesystem),
-//       execute each through the crash-safe journal path, archive to
-//       done/ or failed/, and poll until a STOP sentinel or idleness.
-//       Every claim carries a lease renewed with the heartbeat; while
-//       idle the daemon reaps other workers' expired claims back into
-//       the queue (disable with --no-reap).
-//   drowsy_sweep shard reap <queue-dir> [--stale-after-s S] [--dry-run]
-//                    [--reaper-id R]
-//       Return dead workers' claims to the queue: every claim whose
-//       lease has expired (or, lease-less, whose owner has been silent
-//       for --stale-after-s) is atomically re-enqueued, its journal's
-//       valid prefix published beside it for the next owner to resume.
-//       Each reap is appended to <queue>/reaped/reap.journal.jsonl.
-//
-// Fault injection (chaos testing; see docs/sweeps.md):
-//
-//   drowsy_sweep fault list
-//       The crash-point catalogue.  Arm one with
-//       DROWSY_CRASH_AT=<point>[:<nth>] — the process _exit()s with
-//       code 86 the nth time execution reaches the point.  Compiled out
-//       of Release builds (arming then fails loudly).
-//
-// Paper-figure studies (src/study; see docs/studies.md):
-//
-//   drowsy_sweep study list
-//       Registered studies with their paper figure and parameters.
-//   drowsy_sweep study run <study> [--set k=v ...] [--threads N]
-//                    [--out F] [--runs-csv F]
-//       Expand the study's grid, execute it on the BatchRunner and print
-//       the reduced figure CSV (--out writes exactly those bytes).
-//   drowsy_sweep study dump <study> [--set k=v ...] [--out F]
-//       The study's grid as a self-contained sweep JSON — feed it to
-//       `shard plan` and the queue daemons to run a study distributed.
-//   drowsy_sweep study reduce <study> [--set k=v ...] --journal F...
-//                    [--out F]
-//       Merge the journals of a sharded study run (coverage-validated,
-//       canonical order restored) and emit the figure CSV —
-//       byte-identical to a single-process `study run`.
-//
-// Full reference (flags, file formats, exit codes): docs/drowsy_sweep.md.
+// `drowsy_sweep --help` lists every subcommand and flag (rendered from the
+// command table in main); docs/drowsy_sweep.md is the full reference.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -103,8 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <mutex>
@@ -126,50 +32,16 @@
 #include "scenario/probes.hpp"
 #include "scenario/registry.hpp"
 #include "study/study.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 
 namespace dt = drowsy::distrib;
 namespace ec = drowsy::expctl;
+namespace fl = drowsy::util::flags;
 namespace sc = drowsy::scenario;
 namespace st = drowsy::study;
 
 namespace {
-
-void print_usage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s run <sweep.json> [--threads N] [--alpha A] [--csv F]"
-               " [--runs-csv F] [--json F] [--verdicts-csv F] [--bench-json F]"
-               " [--trace-out DIR] [--metrics-json F]\n"
-               "       %s validate <sweep.json>\n"
-               "       %s list\n"
-               "       %s dump [<scenario>...]\n"
-               "       %s shard plan <sweep.json> --shards N [--strategy S] [--out-dir D]"
-               " [--costs JOURNAL ...]\n"
-               "       %s shard run <manifest.json> [--sweep PATH] [--threads N]"
-               " [--journal F]\n"
-               "       %s shard merge <sweep.json> --journal F... [--alpha A] [--csv F]"
-               " [--runs-csv F] [--json F] [--verdicts-csv F]\n"
-               "       %s shard status <sweep.json> --journal F... [--queue-dir D]"
-               " [--stale-after-s S] [--json]\n"
-               "       %s shard daemon <queue-dir> [--worker-id W] [--threads N]"
-               " [--poll-ms P] [--max-idle-s S] [--lease-ttl-s S] [--no-reap]\n"
-               "       %s shard reap <queue-dir> [--stale-after-s S] [--dry-run]"
-               " [--reaper-id R]\n"
-               "       %s fault list\n"
-               "       %s study list\n"
-               "       %s study run <study> [--set k=v ...] [--threads N] [--out F]"
-               " [--runs-csv F]\n"
-               "       %s study dump <study> [--set k=v ...] [--out F]\n"
-               "       %s study reduce <study> [--set k=v ...] --journal F... [--out F]\n"
-               "see docs/drowsy_sweep.md for the full reference\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0, argv0, argv0, argv0);
-}
-
-int usage(const char* argv0) {
-  print_usage(stderr, argv0);
-  return 2;
-}
 
 struct LoadedSweep {
   ec::SweepSpec sweep;
@@ -233,17 +105,6 @@ int cmd_validate(const std::string& path) {
   return 0;
 }
 
-/// argv[i+1] as the value of `flag`, advancing i; exits with usage status
-/// when the value is missing.  The one flag-parsing primitive every
-/// subcommand shares.
-const char* flag_value(int argc, char** argv, int& i, const char* flag) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
 /// Artifact destinations shared by `run` and `shard merge` — one emission
 /// path, so sharded output is byte-identical by construction.
 struct EmitOptions {
@@ -254,26 +115,25 @@ struct EmitOptions {
   std::string verdicts_csv;
 };
 
-bool parse_emit_flag(int argc, char** argv, int& i, EmitOptions& opts) {
-  const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-  if (std::strcmp(argv[i], "--alpha") == 0) {
-    opts.alpha = std::atof(value("--alpha"));
-    if (opts.alpha <= 0.0 || opts.alpha >= 1.0) {
-      std::fprintf(stderr, "--alpha must be in (0, 1)\n");
-      std::exit(2);
-    }
-  } else if (std::strcmp(argv[i], "--csv") == 0) {
-    opts.stats_csv = value("--csv");
-  } else if (std::strcmp(argv[i], "--runs-csv") == 0) {
-    opts.runs_csv = value("--runs-csv");
-  } else if (std::strcmp(argv[i], "--json") == 0) {
-    opts.stats_json = value("--json");
-  } else if (std::strcmp(argv[i], "--verdicts-csv") == 0) {
-    opts.verdicts_csv = value("--verdicts-csv");
-  } else {
-    return false;
-  }
-  return true;
+/// `flags` followed by the rows binding `emit`.
+std::vector<fl::Flag> with_emit_flags(EmitOptions& emit, std::vector<fl::Flag> flags) {
+  flags.insert(flags.end(), {
+      fl::real("--alpha", "A", "Welch significance level; default 0.05", emit.alpha,
+               {0.0, 1.0, /*open=*/true}),
+      fl::string("--csv", "F", "replicate statistics as CSV", emit.stats_csv),
+      fl::string("--runs-csv", "F", "one row per run as CSV", emit.runs_csv),
+      fl::string("--json", "F", "replicate statistics as JSON", emit.stats_json),
+      fl::string("--verdicts-csv", "F", "Welch verdicts as CSV", emit.verdicts_csv),
+  });
+  return flags;
+}
+
+fl::Flag threads_flag(std::size_t& threads) {
+  return fl::integer("--threads", "N", "worker threads; 0 (default): all cores", threads);
+}
+
+fl::Flag journals_flag(std::vector<std::string>& journals) {
+  return fl::required(fl::strings("--journal", "F", "a shard's journal", journals));
 }
 
 /// Print the report tables and write the requested artifacts.
@@ -291,15 +151,6 @@ bool emit_results(const std::vector<sc::RunResult>& results, const EmitOptions& 
     ok &= sc::write_file(opts.verdicts_csv, ec::to_csv(verdicts));
   }
   return ok;
-}
-
-int parse_threads(const char* text) {
-  const long n = std::atol(text);
-  if (n < 0) {
-    std::fprintf(stderr, "--threads must be non-negative\n");
-    std::exit(2);
-  }
-  return static_cast<int>(n);
 }
 
 // --- run ----------------------------------------------------------------------
@@ -385,46 +236,22 @@ int cmd_run(const RunOptions& opts) {
 
 /// <stem>.journal.jsonl next to the manifest ("shard_0.json" ->
 /// "shard_0.journal.jsonl").
-std::string default_journal_path(const std::string& manifest_path) {
-  std::string stem = manifest_path;
-  const std::string suffix = ".json";
-  if (stem.size() > suffix.size() &&
-      stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    stem.resize(stem.size() - suffix.size());
-  }
-  return stem + ".journal.jsonl";
+std::string default_journal_path(const std::string& manifest) {
+  const bool json = manifest.size() > 5 && manifest.ends_with(".json");
+  return manifest.substr(0, manifest.size() - (json ? 5 : 0)) + ".journal.jsonl";
 }
 
-int cmd_shard_plan(int argc, char** argv) {
+struct PlanOptions {
   std::string sweep_path;
-  std::string out_dir = ".";
   std::size_t shards = 0;
-  dt::ShardStrategy strategy = dt::ShardStrategy::Balanced;
+  std::string strategy = "balanced";
+  std::string out_dir = ".";
   std::vector<std::string> cost_journals;
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      const long n = std::atol(value("--shards"));
-      if (n <= 0) {
-        std::fprintf(stderr, "--shards must be positive\n");
-        return 2;
-      }
-      shards = static_cast<std::size_t>(n);
-    } else if (std::strcmp(argv[i], "--strategy") == 0) {
-      strategy = dt::shard_strategy_from_string(value("--strategy"));
-    } else if (std::strcmp(argv[i], "--out-dir") == 0) {
-      out_dir = value("--out-dir");
-    } else if (std::strcmp(argv[i], "--costs") == 0) {
-      cost_journals.push_back(value("--costs"));
-    } else if (sweep_path.empty() && argv[i][0] != '-') {
-      sweep_path = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (sweep_path.empty() || shards == 0) return usage(argv[0]);
+};
 
-  const LoadedSweep loaded = load_sweep(sweep_path);
+int cmd_shard_plan(const PlanOptions& opts) {
+  const dt::ShardStrategy strategy = dt::shard_strategy_from_string(opts.strategy);
+  const LoadedSweep loaded = load_sweep(opts.sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
 
   // Static heuristic costs are always computed: without --costs they
@@ -436,42 +263,43 @@ int cmd_shard_plan(int argc, char** argv) {
   }
 
   dt::CostModel::JobCosts priced;
-  const bool use_measured = !cost_journals.empty();
+  const bool use_measured = !opts.cost_journals.empty();
   if (use_measured) {
     dt::CostModel model;
-    for (const std::string& path : cost_journals) {
+    for (const std::string& path : opts.cost_journals) {
       model.add_journal(dt::read_journal(path).entries);
     }
     priced = model.price(jobs);
     std::printf("cost model: %zu journal(s) -> %zu exact, %zu scenario-level,"
                 " %zu heuristic job price(s)\n",
-                cost_journals.size(), priced.measured, priced.scenario, priced.heuristic);
+                opts.cost_journals.size(), priced.measured, priced.scenario,
+                priced.heuristic);
   }
   const std::vector<double>& plan_costs = use_measured ? priced.cost : static_costs;
-  const auto plan = dt::plan_shards(jobs, shards, strategy, plan_costs);
+  const auto plan = dt::plan_shards(jobs, opts.shards, strategy, plan_costs);
 
-  if (mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create %s\n", out_dir.c_str());
+  if (mkdir(opts.out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
+    std::fprintf(stderr, "cannot create %s\n", opts.out_dir.c_str());
     return 1;
   }
 
   std::printf("== %s: %zu jobs -> %zu shard(s), %s ==\n", loaded.sweep.name.c_str(),
-              jobs.size(), shards, dt::to_string(strategy));
+              jobs.size(), opts.shards, dt::to_string(strategy));
   bool ok = true;
   const std::vector<double> planned_totals = dt::shard_costs(plan, plan_costs);
   const std::vector<double> static_totals = dt::shard_costs(plan, static_costs);
   for (std::size_t s = 0; s < plan.size(); ++s) {
     dt::ShardManifest manifest;
     manifest.sweep_name = loaded.sweep.name;
-    manifest.sweep_file = sweep_path;
+    manifest.sweep_file = opts.sweep_path;
     manifest.sweep_hash = ec::fnv1a64(loaded.bytes);
     manifest.shard_index = s;
-    manifest.shard_count = shards;
+    manifest.shard_count = opts.shards;
     manifest.strategy = strategy;
     manifest.total_jobs = jobs.size();
     manifest.job_indices = plan[s];
 
-    const std::string path = out_dir + "/shard_" + std::to_string(s) + ".json";
+    const std::string path = opts.out_dir + "/shard_" + std::to_string(s) + ".json";
     ok &= sc::write_file(path, dt::to_json(manifest).dump());
     if (use_measured) {
       std::printf("  %-28s %4zu job(s)  est. %10.0f ms  (static %10.0f)\n", path.c_str(),
@@ -485,7 +313,7 @@ int cmd_shard_plan(int argc, char** argv) {
     // Would the old plan have balanced as well?  Evaluate both layouts
     // under the measured model: the static-heuristic plan re-priced with
     // measured costs is what the fleet would actually have experienced.
-    const auto static_plan = dt::plan_shards(jobs, shards, strategy, static_costs);
+    const auto static_plan = dt::plan_shards(jobs, opts.shards, strategy, static_costs);
     std::printf("predicted balance (max/min shard cost, measured model):\n"
                 "  measured-cost plan    %.3f\n"
                 "  static-heuristic plan %.3f\n",
@@ -495,32 +323,21 @@ int cmd_shard_plan(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-int cmd_shard_run(int argc, char** argv) {
+struct ShardRunOptions {
   std::string manifest_path;
   std::string sweep_override;
   std::string journal_path;
   std::size_t threads = 0;
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep_override = value("--sweep");
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      journal_path = value("--journal");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(parse_threads(value("--threads")));
-    } else if (manifest_path.empty() && argv[i][0] != '-') {
-      manifest_path = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (manifest_path.empty()) return usage(argv[0]);
-  if (journal_path.empty()) journal_path = default_journal_path(manifest_path);
+};
 
+int cmd_shard_run(const ShardRunOptions& opts) {
+  const std::string journal_path = opts.journal_path.empty()
+                                       ? default_journal_path(opts.manifest_path)
+                                       : opts.journal_path;
   const dt::ShardManifest manifest =
-      dt::manifest_from_json(ec::Json::parse(ec::read_file(manifest_path)));
+      dt::manifest_from_json(ec::Json::parse(ec::read_file(opts.manifest_path)));
   const std::string sweep_path =
-      sweep_override.empty() ? manifest.sweep_file : sweep_override;
+      opts.sweep_override.empty() ? manifest.sweep_file : opts.sweep_override;
   const LoadedSweep loaded = load_sweep(sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
   dt::validate_manifest(manifest, loaded.bytes, jobs.size());
@@ -528,7 +345,8 @@ int cmd_shard_run(int argc, char** argv) {
   std::printf("== %s shard %zu/%zu: %zu job(s), journal %s ==\n",
               manifest.sweep_name.c_str(), manifest.shard_index, manifest.shard_count,
               manifest.job_indices.size(), journal_path.c_str());
-  const dt::ShardRunOutcome outcome = dt::run_shard(jobs, manifest, journal_path, threads);
+  const dt::ShardRunOutcome outcome =
+      dt::run_shard(jobs, manifest, journal_path, opts.threads);
   std::printf("resumed %zu, executed %zu (traces materialized %llu, reused %llu)\n",
               outcome.resumed, outcome.executed,
               static_cast<unsigned long long>(outcome.trace_misses),
@@ -540,44 +358,11 @@ int cmd_shard_run(int argc, char** argv) {
 struct JournalSetOptions {
   std::string sweep_path;
   std::vector<std::string> journals;
-  EmitOptions emit;
+  EmitOptions emit;             ///< merge only
   std::string queue_dir;        ///< status only: scan claimed/ for stale tasks
   double stale_after_s = 900.0; ///< status only: stale-claim threshold
   bool json = false;            ///< status only: machine-readable report
 };
-
-int parse_journal_set(int argc, char** argv, JournalSetOptions& opts, bool allow_emit,
-                      bool allow_queue = false) {
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--journal") == 0) {
-      opts.journals.push_back(value("--journal"));
-    } else if (allow_emit && parse_emit_flag(argc, argv, i, opts.emit)) {
-      // handled
-    } else if (allow_queue && std::strcmp(argv[i], "--queue-dir") == 0) {
-      opts.queue_dir = value("--queue-dir");
-    } else if (allow_queue && std::strcmp(argv[i], "--json") == 0) {
-      // Valueless here, unlike merge's `--json F` emit flag: status has
-      // exactly one report, which goes to stdout.
-      opts.json = true;
-    } else if (allow_queue && std::strcmp(argv[i], "--stale-after-s") == 0) {
-      const char* text = value("--stale-after-s");
-      char* end = nullptr;
-      opts.stale_after_s = std::strtod(text, &end);
-      if (end == text || *end != '\0' || opts.stale_after_s < 0.0) {
-        std::fprintf(stderr, "--stale-after-s: \"%s\" is not a non-negative number\n",
-                     text);
-        return 2;
-      }
-    } else if (opts.sweep_path.empty() && argv[i][0] != '-') {
-      opts.sweep_path = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.sweep_path.empty() || opts.journals.empty()) return usage(argv[0]);
-  return 0;
-}
 
 /// Read and concatenate journals; `per_journal` (optional) observes each
 /// one as it is read — the hook `shard status` prints its per-journal
@@ -599,11 +384,7 @@ std::vector<dt::JournalEntry> read_journal_set(
   return entries;
 }
 
-int cmd_shard_merge(int argc, char** argv) {
-  JournalSetOptions opts;
-  if (const int rc = parse_journal_set(argc, argv, opts, /*allow_emit=*/true); rc != 0) {
-    return rc;
-  }
+int cmd_shard_merge(const JournalSetOptions& opts) {
   const LoadedSweep loaded = load_sweep(opts.sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
   const auto entries = read_journal_set(opts.journals);
@@ -613,13 +394,7 @@ int cmd_shard_merge(int argc, char** argv) {
   return emit_results(results, opts.emit) ? 0 : 1;
 }
 
-int cmd_shard_status(int argc, char** argv) {
-  JournalSetOptions opts;
-  if (const int rc = parse_journal_set(argc, argv, opts, /*allow_emit=*/false,
-                                       /*allow_queue=*/true);
-      rc != 0) {
-    return rc;
-  }
+int cmd_shard_status(const JournalSetOptions& opts) {
   const LoadedSweep loaded = load_sweep(opts.sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
   // Per-journal accounting: progress in wall-clock terms, not just row
@@ -796,54 +571,16 @@ int cmd_shard_status(int argc, char** argv) {
   return cov.complete() ? 0 : 3;  // distinct from hard errors (1) and usage (2)
 }
 
-int cmd_shard_daemon(int argc, char** argv) {
-  dt::DaemonOptions opts;
-  // The claiming protocol needs worker ids unique per live daemon; a
-  // bare pid collides across machines/containers sharing one queue.
+/// "<hostname>-<pid>": the default daemon and reaper id.  The claiming
+/// protocol needs worker ids unique per live daemon; a bare pid collides
+/// across machines and containers sharing one queue.
+std::string host_pid_id() {
   char host[256] = "host";
   static_cast<void>(gethostname(host, sizeof(host) - 1));
-  opts.worker_id = std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--worker-id") == 0) {
-      opts.worker_id = value("--worker-id");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = static_cast<std::size_t>(parse_threads(value("--threads")));
-    } else if (std::strcmp(argv[i], "--poll-ms") == 0) {
-      const long ms = std::atol(value("--poll-ms"));
-      if (ms <= 0) {
-        std::fprintf(stderr, "--poll-ms must be positive\n");
-        return 2;
-      }
-      opts.poll_ms = static_cast<unsigned>(ms);
-    } else if (std::strcmp(argv[i], "--max-idle-s") == 0) {
-      // strtod, not atof: a typo must be a usage error, not a silent 0.0
-      // (which means "wait for STOP forever").
-      const char* text = value("--max-idle-s");
-      char* end = nullptr;
-      opts.max_idle_s = std::strtod(text, &end);
-      if (end == text || *end != '\0') {
-        std::fprintf(stderr, "--max-idle-s: \"%s\" is not a number\n", text);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--lease-ttl-s") == 0) {
-      const char* text = value("--lease-ttl-s");
-      char* end = nullptr;
-      opts.lease_ttl_s = std::strtod(text, &end);
-      if (end == text || *end != '\0' || opts.lease_ttl_s <= 0.0) {
-        std::fprintf(stderr, "--lease-ttl-s: \"%s\" is not a positive number\n", text);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--no-reap") == 0) {
-      opts.reap = false;
-    } else if (opts.queue_dir.empty() && argv[i][0] != '-') {
-      opts.queue_dir = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.queue_dir.empty()) return usage(argv[0]);
+  return std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
+}
 
+int cmd_shard_daemon(dt::DaemonOptions opts) {
   // Daemons run unattended; their util::log diagnostics (snapshot write
   // failures, torn journals) must reach the operator's log, timestamped.
   drowsy::util::set_log_level(drowsy::util::LogLevel::Info);
@@ -862,34 +599,7 @@ int cmd_shard_daemon(int argc, char** argv) {
   return outcome.failed == 0 ? 0 : 1;
 }
 
-int cmd_shard_reap(int argc, char** argv) {
-  dt::ReapOptions opts;
-  char host[256] = "host";
-  static_cast<void>(gethostname(host, sizeof(host) - 1));
-  opts.reaper_id =
-      std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--stale-after-s") == 0) {
-      const char* text = value("--stale-after-s");
-      char* end = nullptr;
-      opts.stale_after_s = std::strtod(text, &end);
-      if (end == text || *end != '\0' || opts.stale_after_s < 0.0) {
-        std::fprintf(stderr, "--stale-after-s: \"%s\" is not a non-negative number\n",
-                     text);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--dry-run") == 0) {
-      opts.dry_run = true;
-    } else if (std::strcmp(argv[i], "--reaper-id") == 0) {
-      opts.reaper_id = value("--reaper-id");
-    } else if (opts.queue_dir.empty() && argv[i][0] != '-') {
-      opts.queue_dir = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.queue_dir.empty()) return usage(argv[0]);
+int cmd_shard_reap(dt::ReapOptions opts) {
   opts.on_event = [](const std::string& line) { std::printf("%s\n", line.c_str()); };
   const dt::ReapOutcome outcome = dt::reap_queue(opts);
   std::printf("%s%zu claim(s) examined, %zu expired, %zu reaped"
@@ -899,8 +609,7 @@ int cmd_shard_reap(int argc, char** argv) {
   return 0;
 }
 
-int cmd_fault(int argc, char** argv) {
-  if (argc != 3 || std::strcmp(argv[2], "list") != 0) return usage(argv[0]);
+int cmd_fault_list() {
   for (const std::string& point : dt::fault::catalogue()) {
     std::printf("%s\n", point.c_str());
   }
@@ -916,53 +625,16 @@ int cmd_fault(int argc, char** argv) {
 
 // --- study subcommands --------------------------------------------------------
 
-/// Shared by run/dump/reduce: study name, --set overrides, then the
-/// verb-specific flags the caller accepts.
+/// Shared by run/dump/reduce: the study name, its --set overrides and
+/// the verb-specific flags.
 struct StudyOptions {
-  const st::Study* study = nullptr;
-  st::StudyParams params;
+  std::string name;
+  std::vector<std::string> sets;  ///< applied in order after the study lookup
   std::size_t threads = 0;
   std::string out_path;
   std::string runs_csv;
   std::vector<std::string> journals;
 };
-
-int parse_study(int argc, char** argv, StudyOptions& opts, bool allow_run_flags,
-                bool allow_journals) {
-  std::string name;
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--set") == 0) {
-      if (opts.study == nullptr) {
-        std::fprintf(stderr, "--set must follow the study name\n");
-        return 2;
-      }
-      opts.params.set_from_token(value("--set"));
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      opts.out_path = value("--out");
-    } else if (allow_run_flags && std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = static_cast<std::size_t>(parse_threads(value("--threads")));
-    } else if (allow_run_flags && std::strcmp(argv[i], "--runs-csv") == 0) {
-      opts.runs_csv = value("--runs-csv");
-    } else if (allow_journals && std::strcmp(argv[i], "--journal") == 0) {
-      opts.journals.push_back(value("--journal"));
-    } else if (name.empty() && argv[i][0] != '-') {
-      name = argv[i];
-      const st::Study* study = st::StudyRegistry::builtin().find(name);
-      if (study == nullptr) {
-        std::fprintf(stderr, "no such study: %s (try 'drowsy_sweep study list')\n",
-                     name.c_str());
-        return 1;
-      }
-      opts.study = study;
-      opts.params = study->params;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.study == nullptr) return usage(argv[0]);
-  return 0;
-}
 
 int cmd_study_list() {
   for (const st::Study& study : st::StudyRegistry::builtin().all()) {
@@ -980,17 +652,13 @@ bool emit_figure_csv(const std::string& csv, const std::string& out_path) {
   return sc::write_file(out_path, csv);
 }
 
-int cmd_study_run(int argc, char** argv) {
-  StudyOptions opts;
-  if (const int rc = parse_study(argc, argv, opts, /*allow_run_flags=*/true,
-                                 /*allow_journals=*/false);
-      rc != 0) {
-    return rc;
-  }
-  const auto jobs = st::jobs_for(*opts.study, opts.params);
-  std::printf("== study %s (%s): %zu runs [%s] ==\n", opts.study->name.c_str(),
-              opts.study->figure.c_str(), jobs.size(), opts.params.describe().c_str());
-  const st::StudyOutcome outcome = st::run_study(*opts.study, opts.params, opts.threads);
+int cmd_study_run(const StudyOptions& opts) {
+  const st::Study& study = st::StudyRegistry::builtin().at(opts.name);
+  const st::StudyParams params = study.params_with(opts.sets);
+  const auto jobs = st::jobs_for(study, params);
+  std::printf("== study %s (%s): %zu runs [%s] ==\n", study.name.c_str(),
+              study.figure.c_str(), jobs.size(), params.describe().c_str());
+  const st::StudyOutcome outcome = st::run_study(study, params, opts.threads);
   bool ok = emit_figure_csv(outcome.csv, opts.out_path);
   if (!opts.runs_csv.empty()) {
     ok &= sc::write_file(opts.runs_csv, sc::to_csv(outcome.results));
@@ -1001,121 +669,125 @@ int cmd_study_run(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-int cmd_study_dump(int argc, char** argv) {
-  StudyOptions opts;
-  if (const int rc = parse_study(argc, argv, opts, /*allow_run_flags=*/false,
-                                 /*allow_journals=*/false);
-      rc != 0) {
-    return rc;
-  }
-  const std::string text = ec::to_json(opts.study->sweep(opts.params)).dump();
+int cmd_study_dump(const StudyOptions& opts) {
+  const st::Study& study = st::StudyRegistry::builtin().at(opts.name);
+  const std::string text = ec::to_json(study.sweep(study.params_with(opts.sets))).dump();
   std::fwrite(text.data(), 1, text.size(), stdout);
   if (!opts.out_path.empty() && !sc::write_file(opts.out_path, text)) return 1;
   return 0;
 }
 
-int cmd_study_reduce(int argc, char** argv) {
-  StudyOptions opts;
-  if (const int rc = parse_study(argc, argv, opts, /*allow_run_flags=*/false,
-                                 /*allow_journals=*/true);
-      rc != 0) {
-    return rc;
-  }
-  if (opts.journals.empty()) return usage(argv[0]);
-  const auto jobs = st::jobs_for(*opts.study, opts.params);
+int cmd_study_reduce(const StudyOptions& opts) {
+  const st::Study& study = st::StudyRegistry::builtin().at(opts.name);
+  const st::StudyParams params = study.params_with(opts.sets);
+  const auto jobs = st::jobs_for(study, params);
   const auto entries = read_journal_set(opts.journals);
   // merge_journals proves coverage (missing/duplicate/foreign rows are
   // hard errors) and restores canonical order; reduce_study re-checks the
   // rows against the study grid, so wrong --set parameters cannot
   // silently produce a wrong figure.
   const auto results = dt::merge_journals(jobs, entries);
-  return emit_figure_csv(st::reduce_study(*opts.study, opts.params, jobs, results),
-                         opts.out_path)
-             ? 0
-             : 1;
-}
-
-int cmd_study(int argc, char** argv) {
-  if (argc < 3) return usage(argv[0]);
-  const std::string verb = argv[2];
-  if (verb == "list") return argc == 3 ? cmd_study_list() : usage(argv[0]);
-  if (verb == "run") return cmd_study_run(argc, argv);
-  if (verb == "dump") return cmd_study_dump(argc, argv);
-  if (verb == "reduce") return cmd_study_reduce(argc, argv);
-  return usage(argv[0]);
-}
-
-int cmd_shard(int argc, char** argv) {
-  if (argc < 3) return usage(argv[0]);
-  const std::string verb = argv[2];
-  if (verb == "plan") return cmd_shard_plan(argc, argv);
-  if (verb == "run") return cmd_shard_run(argc, argv);
-  if (verb == "merge") return cmd_shard_merge(argc, argv);
-  if (verb == "status") return cmd_shard_status(argc, argv);
-  if (verb == "daemon") return cmd_shard_daemon(argc, argv);
-  if (verb == "reap") return cmd_shard_reap(argc, argv);
-  return usage(argv[0]);
+  const std::string csv = st::reduce_study(study, params, jobs, results);
+  return emit_figure_csv(csv, opts.out_path) ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
-    print_usage(stdout, argv[0]);
-    return 0;
+  RunOptions run;
+  std::string validate_path;
+  std::vector<std::string> dump_names;
+  PlanOptions plan;
+  ShardRunOptions shard_run;
+  JournalSetOptions merge;
+  JournalSetOptions status;
+  dt::DaemonOptions daemon;
+  daemon.worker_id = host_pid_id();
+  dt::ReapOptions reap;
+  reap.reaper_id = host_pid_id();
+  StudyOptions study;
+  const auto set = fl::strings("--set", "k=v", "override a study parameter", study.sets);
+  const auto out = fl::string("--out", "F", "also write the output to F", study.out_path);
+
+  std::vector<fl::Command> commands = {
+      {"run", "Run a sweep's job grid; print replicate statistics and Welch verdicts.",
+       {{"<sweep.json>", run.sweep_path}}, [&] { return cmd_run(run); },
+       with_emit_flags(run.emit, {
+           threads_flag(run.threads),
+           fl::string("--bench-json", "F", "wall clock, cache counters", run.bench_json),
+           fl::string("--trace-out", "DIR", "Perfetto timelines per run", run.trace_out),
+           fl::string("--metrics-json", "F", "worker metrics, per run", run.metrics_json),
+       })},
+      {"validate", "Parse and expand a sweep without running it; print the job count.",
+       {{"<sweep.json>", validate_path}},
+       [&] { return cmd_validate(validate_path); }, {}},
+      {"list", "Registry scenario names with descriptions.", {}, cmd_list, {}},
+      {"dump", "Registry scenarios (all by default) as JSON.",
+       {{"[<scenario>...]", dump_names}}, [&] { return cmd_dump(dump_names); }, {}},
+      {"shard plan", "Split a sweep's job grid into shard manifests.",
+       {{"<sweep.json>", plan.sweep_path}}, [&] { return cmd_shard_plan(plan); },
+       {fl::required(fl::integer("--shards", "N", "number of shards", plan.shards, 1)),
+        fl::string("--strategy", "S", "balanced, contiguous or strided", plan.strategy),
+        fl::string("--out-dir", "D", "manifest directory; default .", plan.out_dir),
+        fl::strings("--costs", "JOURNAL", "price jobs by measured wall_ms",
+                    plan.cost_journals)}},
+      {"shard run", "Execute a shard's outstanding jobs into its journal (resumable).",
+       {{"<manifest.json>", shard_run.manifest_path}},
+       [&] { return cmd_shard_run(shard_run); },
+       {fl::string("--sweep", "PATH", "sweep file override", shard_run.sweep_override),
+        threads_flag(shard_run.threads),
+        fl::string("--journal", "F", "default <manifest stem>.journal.jsonl",
+                   shard_run.journal_path)}},
+      {"shard merge", "Merge shard journals into the same output as `run`.",
+       {{"<sweep.json>", merge.sweep_path}}, [&] { return cmd_shard_merge(merge); },
+       with_emit_flags(merge.emit, {journals_flag(merge.journals)})},
+      {"shard status", "Coverage, per-journal wall clock, stale claims and workers.",
+       {{"<sweep.json>", status.sweep_path}}, [&] { return cmd_shard_status(status); },
+       {journals_flag(status.journals),
+        fl::string("--queue-dir", "D", "also its claims and workers", status.queue_dir),
+        fl::real("--stale-after-s", "S", "stale claim age; default 900",
+                 status.stale_after_s, {.lo = 0.0}),
+        fl::toggle("--json", "one JSON document instead of text", status.json)}},
+      {"shard daemon", "Serve a queue directory: claim, run and archive shard manifests.",
+       {{"<queue-dir>", daemon.queue_dir}}, [&] { return cmd_shard_daemon(daemon); },
+       {fl::string("--worker-id", "W", "claim owner; default <hostname>-<pid>",
+                   daemon.worker_id),
+        threads_flag(daemon.threads),
+        fl::integer("--poll-ms", "P", "idle rescan; default 500", daemon.poll_ms, 1),
+        fl::real("--max-idle-s", "S", "idle exit; default 60, <= 0: STOP only",
+                 daemon.max_idle_s),
+        fl::real("--lease-ttl-s", "S", "claim lease TTL; default 900", daemon.lease_ttl_s,
+                 {.lo = 0.0, .open = true}),
+        fl::toggle("--no-reap", "never reap expired claims", daemon.reap, false)}},
+      {"shard reap", "Return dead workers' expired claims to the queue.",
+       {{"<queue-dir>", reap.queue_dir}}, [&] { return cmd_shard_reap(reap); },
+       {fl::real("--stale-after-s", "S", "lease-less expiry; default 900",
+                 reap.stale_after_s, {.lo = 0.0}),
+        fl::toggle("--dry-run", "report, change nothing", reap.dry_run),
+        fl::string("--reaper-id", "R", "reap journal name; default <hostname>-<pid>",
+                   reap.reaper_id)}},
+      {"fault list", "The crash points DROWSY_CRASH_AT=<point>[:<nth>] arms.", {},
+       cmd_fault_list, {}},
+      {"study list", "Registered studies with their paper figure and parameters.", {},
+       cmd_study_list, {}},
+      {"study run", "Run a study's grid and print its figure CSV.",
+       {{"<study>", study.name}}, [&] { return cmd_study_run(study); },
+       {set, threads_flag(study.threads), out,
+        fl::string("--runs-csv", "F", "one row per run as CSV", study.runs_csv)}},
+      {"study dump", "A study's grid as a self-contained sweep JSON.",
+       {{"<study>", study.name}}, [&] { return cmd_study_dump(study); }, {set, out}},
+      {"study reduce", "Merge a sharded study's journals into its figure CSV.",
+       {{"<study>", study.name}}, [&] { return cmd_study_reduce(study); },
+       {set, journals_flag(study.journals), out}},
+  };
+  // Arm crash points before any handler runs, so every subcommand —
+  // daemon, reap, merge — can be crashed from the outside; a typo'd
+  // point name fails the command.
+  for (fl::Command& command : commands) {
+    command.run = [handler = std::move(command.run)] {
+      dt::fault::arm_from_env();
+      return handler();
+    };
   }
-  try {
-    // Arm before any dispatch so every subcommand — daemon, reap, merge —
-    // can be crashed from the outside; a typo'd point name dies here.
-    dt::fault::arm_from_env();
-    if (command == "list") {
-      if (argc != 2) return usage(argv[0]);
-      return cmd_list();
-    }
-    if (command == "dump") {
-      return cmd_dump(std::vector<std::string>(argv + 2, argv + argc));
-    }
-    if (command == "validate") {
-      if (argc != 3) return usage(argv[0]);
-      return cmd_validate(argv[2]);
-    }
-    if (command == "shard") {
-      return cmd_shard(argc, argv);
-    }
-    if (command == "fault") {
-      return cmd_fault(argc, argv);
-    }
-    if (command == "study") {
-      return cmd_study(argc, argv);
-    }
-    if (command == "run") {
-      RunOptions opts;
-      for (int i = 2; i < argc; ++i) {
-        const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-        if (std::strcmp(argv[i], "--threads") == 0) {
-          opts.threads = static_cast<std::size_t>(parse_threads(value("--threads")));
-        } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-          opts.bench_json = value("--bench-json");
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-          opts.trace_out = value("--trace-out");
-        } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-          opts.metrics_json = value("--metrics-json");
-        } else if (parse_emit_flag(argc, argv, i, opts.emit)) {
-          // handled
-        } else if (opts.sweep_path.empty() && argv[i][0] != '-') {
-          opts.sweep_path = argv[i];
-        } else {
-          return usage(argv[0]);
-        }
-      }
-      if (opts.sweep_path.empty()) return usage(argv[0]);
-      return cmd_run(opts);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "drowsy_sweep %s: %s\n", command.c_str(), e.what());
-    return 1;
-  }
-  return usage(argv[0]);
+  return fl::dispatch("drowsy_sweep", commands, argc, argv);
 }

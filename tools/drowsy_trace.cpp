@@ -1,83 +1,34 @@
-// drowsy_trace — raw cluster datasets in, replayable workloads out.
+// drowsy_trace — raw cluster datasets in, replayable workloads out:
+// convert Azure/Google-style readings into hourly trace CSVs, summarize
+// converted traces, and write the seeded raw samples behind traces/.
 //
-//   drowsy_trace convert <raw.csv> --format azure|google --out <trace.csv>
-//                [--manifest <m.json>]
-//       Fold raw readings (Azure-style per-VM CPU tables or Google-style
-//       task rows) into the hourly trace/csv column format that
-//       TraceKind::FileReplay consumes, and write a manifest JSON with
-//       per-VM SLMU/LLMU/LLMI classification.  Default manifest path:
-//       the --out path with its .csv suffix replaced by .manifest.json.
-//   drowsy_trace stats <trace.csv>
-//       Per-column digest of an already-converted trace file: hours,
-//       mean activity, idle fraction, VM class, plus population counts.
-//   drowsy_trace sample azure|google --out <raw.csv> [--vms N] [--days D]
-//                [--interval-s S] [--seed X]
-//       Deterministic raw sample slices in either dataset schema — the
-//       generator behind the checked-in traces/*.raw.csv fixtures, so CI
-//       can regenerate them byte-for-byte and catch drift.
-//
-// Determinism: convert and stats are pure functions of their input
-// bytes; sample is a pure function of its options.  The manifest is
-// dumped through expctl::Json, so its bytes are stable across runs and
-// platforms — CI diffs them against golden files.
-//
-// Full reference (formats, manifest schema, workflow): docs/replay.md.
+// `drowsy_trace --help` lists every subcommand and flag; docs/replay.md
+// is the full reference (formats, manifest schema, workflow).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "expctl/json.hpp"
 #include "replay/dataset.hpp"
+#include "scenario/batch_runner.hpp"
 #include "trace/csv.hpp"
 #include "trace/trace.hpp"
+#include "util/flags.hpp"
 
+namespace fl = drowsy::util::flags;
 namespace rp = drowsy::replay;
+namespace sc = drowsy::scenario;
 namespace tr = drowsy::trace;
 using drowsy::expctl::Json;
 
 namespace {
 
-void print_usage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s convert <raw.csv> --format azure|google --out <trace.csv>"
-               " [--manifest <m.json>]\n"
-               "       %s stats <trace.csv>\n"
-               "       %s sample azure|google --out <raw.csv> [--vms N] [--days D]"
-               " [--interval-s S] [--seed X]\n",
-               argv0, argv0, argv0);
-}
-
-int usage(const char* argv0) {
-  print_usage(stderr, argv0);
-  return 2;
-}
-
-/// `--flag value` accessor: returns true and advances `i` when argv[i]
-/// matches `flag` and a value follows.
-bool flag_value(int argc, char** argv, int& i, const char* flag, std::string& out) {
-  if (std::strcmp(argv[i], flag) != 0) return false;
-  if (i + 1 >= argc) throw std::runtime_error(std::string(flag) + " needs a value");
-  out = argv[++i];
-  return true;
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error("write failed: " + path);
-}
-
 std::string default_manifest_path(const std::string& out) {
-  const std::string suffix = ".csv";
-  if (out.size() > suffix.size() &&
-      out.compare(out.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    return out.substr(0, out.size() - suffix.size()) + ".manifest.json";
-  }
-  return out + ".manifest.json";
+  const bool csv = out.size() > 4 && out.ends_with(".csv");
+  return out.substr(0, out.size() - (csv ? 4 : 0)) + ".manifest.json";
 }
 
 Json manifest_json(const std::string& source, rp::DatasetFormat format,
@@ -122,100 +73,83 @@ void print_summary_table(const std::vector<rp::ColumnSummary>& columns) {
               counts.slmu, counts.llmu, counts.llmi);
 }
 
-int cmd_convert(int argc, char** argv) {
-  std::string input, format_name, out_path, manifest_path;
-  for (int i = 2; i < argc; ++i) {
-    if (flag_value(argc, argv, i, "--format", format_name)) continue;
-    if (flag_value(argc, argv, i, "--out", out_path)) continue;
-    if (flag_value(argc, argv, i, "--manifest", manifest_path)) continue;
-    if (argv[i][0] == '-' || !input.empty()) return usage(argv[0]);
-    input = argv[i];
-  }
-  if (input.empty() || format_name.empty() || out_path.empty()) return usage(argv[0]);
-  const rp::DatasetFormat format = rp::dataset_format_from_string(format_name);
-  if (manifest_path.empty()) manifest_path = default_manifest_path(out_path);
+/// Every subcommand's flags; only the parsed command's fields are read.
+struct Options {
+  std::string input;
+  std::string format;
+  std::string out_path;
+  std::string manifest_path;
+  rp::SampleOptions sample;
+};
 
-  std::ifstream in(input, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + input);
+int cmd_convert(const Options& opts) {
+  const rp::DatasetFormat format = rp::dataset_format_from_string(opts.format);
+  const std::string manifest_path = opts.manifest_path.empty()
+                                        ? default_manifest_path(opts.out_path)
+                                        : opts.manifest_path;
+
+  std::ifstream in(opts.input, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + opts.input);
   const std::vector<tr::ActivityTrace> traces = rp::fold_dataset(format, in);
-  tr::save_csv(out_path, traces);
+  tr::save_csv(opts.out_path, traces);
 
   const auto columns = rp::summarize_columns(traces);
-  write_file(manifest_path, manifest_json(input, format, columns).dump() + "\n");
+  const std::string manifest = manifest_json(opts.input, format, columns).dump() + "\n";
+  if (!sc::write_file(manifest_path, manifest)) {
+    throw std::runtime_error("cannot write " + manifest_path);
+  }
 
   const rp::ClassCounts counts = rp::count_classes(columns);
   std::printf("%s: %zu VM(s) -> %s (%zu SLMU, %zu LLMU, %zu LLMI; manifest %s)\n",
-              input.c_str(), traces.size(), out_path.c_str(), counts.slmu, counts.llmu,
-              counts.llmi, manifest_path.c_str());
+              opts.input.c_str(), traces.size(), opts.out_path.c_str(), counts.slmu,
+              counts.llmu, counts.llmi, manifest_path.c_str());
   return 0;
 }
 
-int cmd_stats(int argc, char** argv) {
-  if (argc != 3) return usage(argv[0]);
-  const std::vector<tr::ActivityTrace> traces = tr::load_csv(argv[2]);
-  print_summary_table(rp::summarize_columns(traces));
-  return 0;
-}
-
-int cmd_sample(int argc, char** argv) {
-  std::string format_name, out_path, value;
-  rp::SampleOptions opts;
-  for (int i = 2; i < argc; ++i) {
-    if (flag_value(argc, argv, i, "--out", out_path)) continue;
-    if (flag_value(argc, argv, i, "--vms", value)) {
-      opts.vms = std::stoi(value);
-      continue;
-    }
-    if (flag_value(argc, argv, i, "--days", value)) {
-      opts.days = std::stoi(value);
-      continue;
-    }
-    if (flag_value(argc, argv, i, "--interval-s", value)) {
-      opts.interval_s = std::stoi(value);
-      continue;
-    }
-    if (flag_value(argc, argv, i, "--seed", value)) {
-      opts.seed = std::stoull(value);
-      continue;
-    }
-    if (argv[i][0] == '-' || !format_name.empty()) return usage(argv[0]);
-    format_name = argv[i];
-  }
-  if (format_name.empty() || out_path.empty()) return usage(argv[0]);
-  if (opts.vms <= 0 || opts.days <= 0 || opts.interval_s <= 0) {
-    throw std::runtime_error("--vms, --days and --interval-s must be positive");
-  }
-  const rp::DatasetFormat format = rp::dataset_format_from_string(format_name);
-
+int cmd_sample(const Options& opts) {
+  const rp::DatasetFormat format = rp::dataset_format_from_string(opts.format);
   std::ostringstream out;
   if (format == rp::DatasetFormat::AzureVm) {
-    rp::write_azure_sample(out, opts);
+    rp::write_azure_sample(out, opts.sample);
   } else {
-    rp::write_google_sample(out, opts);
+    rp::write_google_sample(out, opts.sample);
   }
-  write_file(out_path, out.str());
-  std::printf("%s sample: %d VM(s) x %d day(s), seed %llu -> %s\n",
-              rp::to_string(format), opts.vms, opts.days,
-              static_cast<unsigned long long>(opts.seed), out_path.c_str());
+  if (!sc::write_file(opts.out_path, out.str())) {
+    throw std::runtime_error("cannot write " + opts.out_path);
+  }
+  std::printf("%s sample: %d VM(s) x %d day(s), seed %llu -> %s\n", rp::to_string(format),
+              opts.sample.vms, opts.sample.days,
+              static_cast<unsigned long long>(opts.sample.seed), opts.out_path.c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
-    print_usage(stdout, argv[0]);
-    return 0;
-  }
-  try {
-    if (command == "convert") return cmd_convert(argc, argv);
-    if (command == "stats") return cmd_stats(argc, argv);
-    if (command == "sample") return cmd_sample(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  return usage(argv[0]);
+  Options opts;
+  rp::SampleOptions& sample = opts.sample;
+  const std::vector<fl::Command> commands = {
+      {"convert", "Fold raw readings into an hourly trace CSV plus a class manifest.",
+       {{"<raw.csv>", opts.input}}, [&] { return cmd_convert(opts); },
+       {fl::required(fl::string("--format", "azure|google", "raw schema", opts.format)),
+        fl::required(fl::string("--out", "<trace.csv>", "trace CSV", opts.out_path)),
+        fl::string("--manifest", "<m.json>", "default: --out as .manifest.json",
+                   opts.manifest_path)}},
+      {"stats", "Per-column digest of a converted trace: hours, activity, class.",
+       {{"<trace.csv>", opts.input}},
+       [&] {
+         print_summary_table(rp::summarize_columns(tr::load_csv(opts.input)));
+         return 0;
+       },
+       {}},
+      {"sample", "A seeded, deterministic raw dataset slice in either schema.",
+       {{"azure|google", opts.format}}, [&] { return cmd_sample(opts); },
+       {fl::required(fl::string("--out", "<raw.csv>", "raw sample CSV", opts.out_path)),
+        fl::integer("--vms", "N", "population size; default 6", sample.vms, 1),
+        fl::integer("--days", "D", "dataset horizon; default 14", sample.days, 1),
+        fl::integer("--interval-s", "S", "Azure reading cadence; default 1800",
+                    sample.interval_s, 1),
+        fl::integer("--seed", "X", "sample seed; default 7", sample.seed)}},
+  };
+  return fl::dispatch("drowsy_trace", commands, argc, argv);
 }
