@@ -56,7 +56,7 @@ struct Queue {
   std::mutex snap_mutex;
 
   // Leases this worker currently holds, keyed by lease-file path.  ALL
-  // of them are renewed on every heartbeat flush — a leftover claim
+  // of them are renewed on every metrics flush — a leftover claim
   // queued behind a long task must not expire while its owner is alive
   // and merely busy.  Guarded by snap_mutex (renewal happens inside
   // flush_metrics_locked).
@@ -96,7 +96,7 @@ struct Queue {
       DROWSY_LOG_WARN("daemon", "cannot write metrics snapshot %s: %s",
                       metrics_file.string().c_str(), e.what());
     }
-    // Renew every held lease alongside the heartbeat: the lease file's
+    // Renew every held lease alongside the snapshot: the lease file's
     // mtime is the renewal instant the reaper compares against.  Like
     // the snapshot, renewal is advisory — a transiently unwritable
     // claimed/ directory must not kill the daemon (at worst the claim
@@ -117,9 +117,11 @@ struct Queue {
     flush_metrics_locked();
   }
 
-  /// Grant (or re-grant, on crash resume) the lease for a claimed
-  /// manifest and start renewing it with every heartbeat.
-  void grant_lease(const fs::path& manifest_path) {
+  /// Grant (or re-grant, on crash resume) the lease for a manifest this
+  /// worker is about to own and start renewing it with every metrics
+  /// flush.  False, with nothing held, when the lease cannot be written:
+  /// the caller must not own the manifest then.
+  [[nodiscard]] bool grant_lease(const fs::path& manifest_path) {
     Lease lease;
     lease.worker_id = options.worker_id;
     lease.manifest = manifest_path.filename().string();
@@ -131,12 +133,15 @@ struct Queue {
       write_lease_file(path, lease);
     } catch (const std::exception& e) {
       DROWSY_LOG_WARN("daemon", "cannot grant lease %s: %s", path.c_str(), e.what());
+      return false;
     }
     const std::lock_guard<std::mutex> lock(snap_mutex);
     leases.emplace(path, std::move(lease));
+    return true;
   }
 
-  /// Drop the lease of a manifest leaving claimed/ (archived or failed).
+  /// Drop the lease of a manifest leaving claimed/ (archived, failed or
+  /// lost to another daemon).
   void release_lease(const fs::path& manifest_path) {
     const std::string path = lease_path_for(manifest_path.string());
     {
@@ -240,7 +245,7 @@ struct Queue {
       adopt_reaped_journal(manifest_path, journal, manifest, grid);
       // The profile probe folds each run's event-core profile into the
       // snapshot; the on_row hook flushes it after every journal append,
-      // so the heartbeat keeps beating through a single long task.
+      // so the leases keep renewing through a single long task.
       const sc::RunProbe probe = sc::profile_probe([this](const obs::EventProfile& p) {
         const std::lock_guard<std::mutex> lock(snap_mutex);
         snap.profile.merge(p);
@@ -295,16 +300,26 @@ struct Queue {
 DaemonOutcome run_daemon(const DaemonOptions& options) {
   Queue queue(options);
   DaemonOutcome outcome;
-  queue.flush_metrics();  // heartbeat exists from the first moment on duty
+  queue.flush_metrics();  // the fleet view sees this worker from the first moment
 
   // Crash recovery: a previous daemon with this worker id may have died
   // owning tasks.  Finish them (the journal resume makes this converge)
   // before competing for new work.  Content-checked like pending(): the
   // claimed/ directory also holds journals and lease files, which must
-  // never be mistaken for tasks (and quarantined to failed/).
+  // never be mistaken for tasks (and quarantined to failed/).  A lease
+  // with no manifest beside it is the trace of a death between leasing
+  // and claiming; it guards nothing and goes.
   std::set<fs::path> leftovers;
   for (const fs::directory_entry& entry : fs::directory_iterator(queue.claimed)) {
     if (!entry.is_regular_file() || entry.path().extension() != ".json") continue;
+    if (entry.path().filename().string().ends_with(".lease.json")) {
+      // "<stem>.lease.json" guards "<stem>.json".
+      const fs::path manifest =
+          queue.claimed / (entry.path().stem().stem().string() + ".json");
+      std::error_code ignored;
+      if (!fs::exists(manifest, ignored)) fs::remove(entry.path(), ignored);
+      continue;
+    }
     try {
       static_cast<void>(manifest_from_json(
           ec::Json::parse(ec::read_file(entry.path().string()))));
@@ -314,7 +329,9 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
     leftovers.insert(entry.path());
   }
   for (const fs::path& manifest : leftovers) {
-    queue.grant_lease(manifest);  // re-grant: the crash left a stale lease
+    // Re-grant: the crash left a stale lease.  Without one the claim is
+    // not ours to run; any reaper returns it to the queue.
+    if (!queue.grant_lease(manifest)) continue;
     emit(options, "resuming claimed " + manifest.filename().string());
     queue.execute(manifest) ? ++outcome.completed : ++outcome.failed;
   }
@@ -328,13 +345,18 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
     }
     bool worked = false;
     for (const fs::path& candidate : queue.pending()) {
+      // Lease first, then claim: the manifest never sits in claimed/
+      // without a lease beside it.
       const fs::path mine = queue.claimed / candidate.filename();
+      if (!queue.grant_lease(mine)) continue;
+      DROWSY_CRASH_POINT("daemon.after_lease");
       std::error_code race;
       fs::rename(candidate, mine, race);
-      if (race) continue;  // another daemon claimed it first
+      if (race) {  // another daemon claimed it first
+        queue.release_lease(mine);
+        continue;
+      }
       DROWSY_CRASH_POINT("daemon.after_claim");
-      queue.grant_lease(mine);
-      DROWSY_CRASH_POINT("daemon.after_lease");
       emit(options, "claimed " + candidate.filename().string());
       queue.execute(mine) ? ++outcome.completed : ++outcome.failed;
       worked = true;
@@ -347,7 +369,6 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
     if (!worked && options.reap) {
       ReapOptions reap_options;
       reap_options.queue_dir = options.queue_dir;
-      reap_options.stale_after_s = options.reap_stale_after_s;
       reap_options.reaper_id = options.worker_id;
       reap_options.skip_worker = options.worker_id;
       if (options.on_event) {
@@ -376,7 +397,7 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
       outcome.exit = DaemonExit::Idle;
       return outcome;
     }
-    queue.flush_metrics();  // idle heartbeat: the claim reaper reads this mtime
+    queue.flush_metrics();  // idle flush: renews every held lease
     std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
   }
 }

@@ -19,16 +19,17 @@
 //   <queue>/metrics/<worker>.json  the worker's metrics snapshot (see
 //                                  obs/snapshot.hpp), rewritten atomically
 //                                  every poll cycle and after every
-//                                  finished run — its mtime is the
-//                                  worker's heartbeat
+//                                  finished run
 //   <queue>/STOP                   sentinel: daemons exit at next poll
 //
 // A pending file is recognized by *content*, not name: anything that
 // parses as a manifest is a task, anything else (the sweep file itself, a
 // half-copied upload) is skipped and re-examined next poll.  Claiming is
-// one rename(2) into the worker's claimed/ subdirectory — atomic on a
-// shared POSIX filesystem, so N daemons never double-run a task: exactly
-// one rename succeeds, the losers see ENOENT and move on.
+// two steps: write the lease (below) into the worker's claimed/
+// subdirectory, then one rename(2) of the manifest beside it — atomic on
+// a shared POSIX filesystem, so N daemons never double-run a task:
+// exactly one rename succeeds, the losers see ENOENT, drop their lease
+// and move on.
 //
 // The manifest's `sweep_file` is resolved first by basename inside the
 // queue root (the recommended layout: enqueue the sweep next to its
@@ -41,11 +42,12 @@
 // polling for new work.  A task that throws is moved to failed/ with the
 // error text beside it; the daemon keeps serving.
 //
-// Liveness: every claim carries a lease (lease.hpp) —
-// claimed/<worker>/<name>.lease.json, granted at claim time and renewed
-// with every heartbeat flush — and idle daemons opportunistically reap
-// other workers' expired claims back into the queue (reaper.hpp), so a
-// fleet survives any member's death without outside intervention.  A
+// Liveness: every claim carries a lease (lease.hpp),
+// claimed/<worker>/<name>.lease.json, granted before the claim and
+// renewed with every metrics flush.  A restarted daemon deletes any of
+// its leases left without a manifest.  Idle daemons opportunistically
+// reap other workers' expired claims back into the queue (reaper.hpp),
+// so a fleet survives any member's death without outside intervention.  A
 // re-enqueued manifest may arrive with a journal snapshot beside it
 // (<queue>/<name>.journal.jsonl, published by the reaper); the claiming
 // daemon adopts it so the dead worker's finished rows are resumed, not
@@ -73,16 +75,13 @@ struct DaemonOptions {
                              ///< for STOP alone
   unsigned poll_ms = 500;    ///< sleep between empty scans
   /// TTL written into this worker's claim leases.  Renewed with every
-  /// heartbeat flush (each poll cycle and each journal row), so it only
+  /// metrics flush (each poll cycle and each journal row), so it only
   /// needs to outlast the longest single simulation run plus scheduling
   /// jitter — not the whole task.
   double lease_ttl_s = 900.0;
   /// Opportunistically reap other workers' expired claims while idle
   /// (own claims are never reaped — they are this worker's backlog).
   bool reap = true;
-  /// Reap threshold for lease-less claims (pre-lease daemons, hand-parked
-  /// manifests); leased claims expire strictly by their own TTL.
-  double reap_stale_after_s = 900.0;
   /// Optional progress sink (one line per claim/finish/failure); the
   /// daemon itself never writes to stdout.  Called from the daemon's
   /// thread only.

@@ -18,14 +18,14 @@ namespace {
 // fires and the chaos suite's coverage loop will not visit it, so keep
 // the two in sync.
 constexpr const char* kPoints[] = {
-    "daemon.after_claim",    // claim renamed into claimed/<worker>/, no lease yet
-    "daemon.after_lease",    // lease granted, execution not started
+    "daemon.after_claim",    // lease granted, claim renamed in beside it, not started
+    "daemon.after_lease",    // lease granted, manifest still pending (orphan lease)
     "daemon.after_adopt",    // reaped journal adopted, before resume
     "journal.after_append",  // one journal row fully written and flushed
     "journal.torn_append",   // half a journal row written, then death (torn tail)
     "daemon.before_archive", // all rows journaled, nothing archived yet
     "daemon.mid_archive",    // journal in done/, manifest still claimed
-    "reaper.before_commit",  // journal prefix snapshotted, claim not yet re-enqueued
+    "reaper.before_commit",  // journal snapshotted, lease dropped, claim not re-enqueued
     "reaper.after_commit",   // manifest re-enqueued, journal not yet beside it
     "reaper.after_journal",  // manifest + journal re-enqueued, cleanup pending
 };

@@ -99,7 +99,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
   ReapOutcome outcome;
   for (const ClaimInfo& claim : list_claims(options.queue_dir)) {
     ++outcome.examined;
-    if (!claim.expired(options.stale_after_s)) continue;
+    if (!claim.expired()) continue;
     if (!options.skip_worker.empty() && claim.worker_id == options.skip_worker) {
       emit(options, "skipping own claim " +
                         fs::path(claim.manifest_path).filename().string());
@@ -111,8 +111,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     if (options.dry_run) {
       ++outcome.reaped;
       emit(options, "would reap " + manifest.filename().string() + " from " +
-                        claim.worker_id + " (silent " + std::to_string(claim.age_s) +
-                        " s)");
+                        claim.worker_id + " (" + claim.expiry() + ")");
       continue;
     }
 
@@ -142,6 +141,11 @@ ReapOutcome reap_queue(const ReapOptions& options) {
       tmp.clear();
       rows_preserved = 0;
     }
+    // Drop the expired lease before the commit, not after: once the
+    // manifest is pending a live daemon may claim it again, and its
+    // fresh lease must not be deleted here.
+    std::error_code ignored;
+    fs::remove(lease_path_for(claim.manifest_path), ignored);
 
     DROWSY_CRASH_POINT("reaper.before_commit");
 
@@ -151,7 +155,6 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     std::error_code ec_commit;
     fs::rename(manifest, root / manifest.filename(), ec_commit);
     if (ec_commit) {
-      std::error_code ignored;
       if (!tmp.empty()) fs::remove(tmp, ignored);
       emit(options, "lost race for " + manifest.filename().string() +
                         " — skipping");
@@ -178,9 +181,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     DROWSY_CRASH_POINT("reaper.after_journal");
 
     // 4. Clean up the dead claim and record the reap.
-    std::error_code ignored;
     fs::remove(claimed_journal, ignored);
-    fs::remove(lease_path_for(claim.manifest_path), ignored);
     fs::create_directories(reaped_dir, ignored);
     ReapRecord record;
     record.manifest = manifest.filename().string();
@@ -192,9 +193,9 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     append_reap_row(reaped_dir / "reap.journal.jsonl", record);
     ++outcome.reaped;
     outcome.rows_preserved += rows_preserved;
-    emit(options, "reaped " + record.manifest + " from " + record.worker_id +
-                      " (silent " + std::to_string(record.age_s) + " s, " +
-                      std::to_string(rows_preserved) + " rows preserved)");
+    emit(options, "reaped " + record.manifest + " from " + record.worker_id + " (" +
+                      claim.expiry() + ", " + std::to_string(rows_preserved) +
+                      " rows preserved)");
   }
   return outcome;
 }

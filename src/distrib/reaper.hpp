@@ -4,9 +4,8 @@
 // exclusive until the owner archives it.  When the owner dies the claim
 // parks its shard forever; leases (lease.hpp) make the death observable,
 // and reap_queue() is the recovery arm: every claim whose lease has
-// expired (or, lease-less, whose owner has not been seen for the
-// caller's threshold) is atomically re-enqueued so any live daemon can
-// pick it up.
+// expired, or that has no readable lease at all, is atomically
+// re-enqueued so any live daemon can pick it up.
 //
 // Reaping one claim:
 //
@@ -15,6 +14,8 @@
 //      not-actually-dead owner may still hold an open descriptor on the
 //      claimed journal; copying means its late writes land on an inode
 //      nobody will ever read, instead of interleaving with a new owner.
+//      Then delete the expired lease: after the commit a live daemon
+//      may claim the manifest again, and its fresh lease must survive.
 //   2. commit: rename the manifest from claimed/<worker>/ back to the
 //      queue root.  This is the linearization point — rename(2) is
 //      atomic, so of N racing reapers exactly one succeeds and the rest
@@ -25,19 +26,20 @@
 //      The daemon that next claims the manifest adopts it, so work the
 //      dead worker already journaled is never re-executed (resume
 //      dedupes on (spec-hash, policy, seed)).
-//   4. clean up the dead claim's journal + lease and append one row to
+//   4. clean up the dead claim's journal and append one row to
 //      the reap journal, <queue>/reaped/reap.journal.jsonl (O_APPEND),
 //      the audit trail that double-reaping and reap-vs-late-worker
 //      races are tested against.
 //
 // A reaper crashing anywhere in that sequence is safe: before step 2
-// nothing observable changed (the tmp is overwritten next attempt);
+// only the expired lease is gone, which leaves the claim exactly as
+// reapable (the tmp is overwritten next attempt);
 // after step 2 the manifest is already pending again, and a missing
 // journal snapshot merely costs re-execution, not correctness.
 // Re-enqueueing an alive-after-all worker's claim is *also* safe — the
 // merge's duplicate detection plus journal dedupe keep the final CSV
-// canonical — just wasteful, which is why expiry thresholds should be
-// generous multiples of the heartbeat period.
+// canonical — just wasteful, which is why lease TTLs should be generous
+// multiples of the renewal period.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +54,6 @@ namespace drowsy::distrib {
 
 struct ReapOptions {
   std::string queue_dir;  ///< queue root; must already exist
-  /// Lease-less claims are reaped only after this many seconds of owner
-  /// silence (leased claims expire strictly by their own TTL).
-  double stale_after_s = 900.0;
   std::string reaper_id = "reaper";  ///< recorded in the reap journal
   /// Never reap this worker's claims (a daemon reaping opportunistically
   /// passes its own id: its claims are its legitimate backlog).
@@ -69,7 +68,7 @@ struct ReapRecord {
   std::string manifest;   ///< basename of the re-enqueued manifest
   std::string worker_id;  ///< the dead owner
   std::string reaper_id;
-  double age_s = 0.0;  ///< owner silence at reap time
+  double age_s = 0.0;  ///< lease age at reap time; 0 without a lease
   std::size_t rows_preserved = 0;  ///< journal rows carried back to the queue
   std::uint64_t reaped_unix_ms = 0;
 };
@@ -79,7 +78,7 @@ struct ReapRecord {
 
 struct ReapOutcome {
   std::size_t examined = 0;  ///< claims scanned
-  std::size_t expired = 0;   ///< claims past their lease TTL / threshold
+  std::size_t expired = 0;   ///< claims past their lease TTL or lease-less
   std::size_t reaped = 0;    ///< claims actually re-enqueued (= expired on a
                              ///< dry run: what *would* have been reaped)
   std::size_t rows_preserved = 0;  ///< journal rows carried back, total

@@ -4,10 +4,9 @@
 // periodically flushes one small JSON file describing what it has done
 // so far — jobs finished, trace-cache hit rate, journal rows written,
 // and its aggregated event-core profile.  `shard status --json` merges
-// every worker's snapshot into one fleet view, and the snapshot file's
-// mtime doubles as the worker's heartbeat: a claim whose worker keeps
-// flushing is alive no matter how old the claim's manifest is
-// (distrib::list_claims prefers this signal, and the reaper acts on it).
+// every worker's snapshot into one fleet view.  Snapshots say nothing
+// about liveness: a claim lives exactly as long as its lease
+// (distrib/lease.hpp).
 //
 // Snapshots are observability artifacts, NOT deterministic outputs:
 // `updated_unix_ms` is wall clock and the event profile carries dispatch

@@ -138,7 +138,6 @@ struct ChaosFixture : ::testing::Test {
   static dt::ReapOptions reap_options(const fs::path& root) {
     dt::ReapOptions opts;
     opts.queue_dir = root.string();
-    opts.stale_after_s = 3600.0;
     opts.reaper_id = "chaos-reaper";
     return opts;
   }
@@ -166,17 +165,34 @@ TEST_F(ChaosFixture, EveryDaemonCrashPointRecoversByResume) {
         ::testing::ExitedWithCode(fault::kCrashExitCode),
         "crash point " + point + " triggered");
 
-    // The kill really happened mid-protocol: the task is not archived
-    // as complete-and-pending simultaneously, and a torn append left a
-    // genuinely torn tail for resume to drop.
-    EXPECT_TRUE(fs::exists(root / "claimed" / "w1" / "shard_0.json"))
-        << "victim died owning its claim";
+    // The kill really happened mid-protocol, and the lease came first:
+    // at every point the lease is on disk.  Dying between lease and
+    // claim leaves the manifest pending beside an orphan lease, which
+    // the restarted worker removes; at every later point the victim
+    // died owning a leased claim.  A torn append left a genuinely torn
+    // tail for resume to drop.
+    const fs::path manifest = root / "claimed" / "w1" / "shard_0.json";
+    EXPECT_TRUE(fs::exists(dt::lease_path_for(manifest.string())))
+        << "the lease precedes the claim";
+    const bool orphan = point == "daemon.after_lease";
+    EXPECT_EQ(fs::exists(root / "shard_0.json"), orphan) << "manifest still pending";
+    EXPECT_EQ(fs::exists(manifest), !orphan) << "victim died owning its claim";
     if (point == "journal.torn_append") {
       const dt::JournalContents torn = dt::read_journal(
           (root / "claimed" / "w1" / "shard_0.journal.jsonl").string());
       EXPECT_TRUE(torn.truncated_tail) << "half-written row must be on disk";
     }
+    if (orphan) {
+      // The restart removes the orphan before it polls for work (STOP
+      // makes it exit right there), leaving the manifest pending.
+      ASSERT_TRUE(sc::write_file((root / "STOP").string(), ""));
+      static_cast<void>(dt::run_daemon(daemon_options(root, "w1")));
+      EXPECT_TRUE(fs::is_empty(root / "claimed" / "w1")) << "orphan lease removed";
+      EXPECT_TRUE(fs::exists(root / "shard_0.json"));
+      fs::remove(root / "STOP");
+    }
     assert_converges(root, "w1");
+    EXPECT_TRUE(fs::is_empty(root / "claimed" / "w1")) << "no lease left behind";
   }
 }
 
@@ -193,7 +209,9 @@ TEST_F(ChaosFixture, SigkillAfterClaimRecoversByResume) {
         static_cast<void>(dt::run_daemon(opts));
       },
       ::testing::KilledBySignal(SIGKILL), "");
-  EXPECT_TRUE(fs::exists(root / "claimed" / "w1" / "shard_0.json"));
+  const fs::path manifest = root / "claimed" / "w1" / "shard_0.json";
+  EXPECT_TRUE(fs::exists(manifest));
+  EXPECT_TRUE(fs::exists(dt::lease_path_for(manifest.string())));
   assert_converges(root, "w1");
 }
 
@@ -223,6 +241,8 @@ TEST_F(ChaosFixture, EveryReaperCrashPointConvergesExactlyOnce) {
     EXPECT_NE(pending, claimed) << "manifest must exist in exactly one place";
     EXPECT_EQ(pending, point != "reaper.before_commit")
         << "commit happens exactly at the commit rename";
+    EXPECT_FALSE(fs::exists(dt::lease_path_for(parked.string())))
+        << "the expired lease goes before the commit";
 
     // A second reaper finishes (or finds nothing left to do)...
     fault::disarm();

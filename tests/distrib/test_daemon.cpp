@@ -92,11 +92,10 @@ struct DaemonFixture : ::testing::Test {
 
   /// The reapable subset of one list_claims() snapshot, filtered the way
   /// `shard status` derives its stale list.
-  static std::vector<dt::ClaimInfo> stale_claims(const fs::path& root,
-                                                 double stale_after_s) {
+  static std::vector<dt::ClaimInfo> stale_claims(const fs::path& root) {
     std::vector<dt::ClaimInfo> stale;
     for (dt::ClaimInfo& claim : dt::list_claims(root.string())) {
-      if (claim.expired(stale_after_s)) stale.push_back(std::move(claim));
+      if (claim.expired()) stale.push_back(std::move(claim));
     }
     return stale;
   }
@@ -185,33 +184,63 @@ TEST_F(DaemonFixture, RestartResumesOwnClaimedTasks) {
   EXPECT_TRUE(fs::is_empty(claimed));
 }
 
+TEST_F(DaemonFixture, NoClaimWithoutALease) {
+  // Lease first, then claim: a lease that cannot be written (a directory
+  // squats on its path) leaves the task pending and unclaimed.
+  const fs::path root = make_queue("nolease", 1);
+  const fs::path claimed = root / "claimed" / "w1";
+  fs::create_directories(claimed / "shard_0.lease.json");
+  dt::DaemonOutcome outcome = dt::run_daemon(options(root, "w1"));
+  EXPECT_EQ(outcome.completed + outcome.failed, 0u);
+  EXPECT_TRUE(fs::exists(root / "shard_0.json")) << "task must stay pending";
+  EXPECT_FALSE(fs::exists(claimed / "shard_0.json"));
+
+  // A lease with no manifest beside it (death between lease and claim)
+  // is removed on restart, even when its task is no longer pending.
+  fs::remove(claimed / "shard_0.lease.json");
+  dt::Lease lease;
+  lease.worker_id = "w1";
+  lease.manifest = "shard_9.json";
+  lease.granted_unix_ms = 1;
+  lease.renewed_unix_ms = 1;
+  lease.ttl_s = 900.0;
+  dt::write_lease_file((claimed / "shard_9.lease.json").string(), lease);
+  outcome = dt::run_daemon(options(root, "w1"));
+  EXPECT_EQ(outcome.completed, 1u);
+  EXPECT_TRUE(fs::is_empty(claimed));
+}
+
 TEST_F(DaemonFixture, StaleClaimsAreFoundByAgeAndWorker) {
   const fs::path root = make_queue("stale", 2);
   // No claimed/ directory yet: nothing is stale, and that is not an error.
-  EXPECT_TRUE(stale_claims(root, 0.0).empty());
+  EXPECT_TRUE(stale_claims(root).empty());
 
-  // A worker claims shard 0 and dies; back-date the claim two hours.
+  // A worker claims shard 0 and dies; back-date its lease two hours.
   const fs::path claimed = root / "claimed" / "deadworker";
   fs::create_directories(claimed);
   fs::rename(root / "shard_0.json", claimed / "shard_0.json");
-  fs::last_write_time(claimed / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
+  dt::Lease lease;
+  lease.worker_id = "deadworker";
+  lease.manifest = "shard_0.json";
+  lease.granted_unix_ms = 1;
+  lease.renewed_unix_ms = 1;
+  lease.ttl_s = 60.0;
+  const std::string lease_path = dt::lease_path_for((claimed / "shard_0.json").string());
+  dt::write_lease_file(lease_path, lease);
+  fs::last_write_time(lease_path, fs::file_time_type::clock::now() - std::chrono::hours(2));
   // Its journal (not a manifest) must not count as a claim.
   ASSERT_TRUE_OR_THROW(
       sc::write_file((claimed / "shard_0.journal.jsonl").string(), "{}\n"));
 
-  const auto stale = stale_claims(root, 3600.0);
+  const auto stale = stale_claims(root);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].worker_id, "deadworker");
   EXPECT_EQ(stale[0].manifest_path, (claimed / "shard_0.json").string());
   EXPECT_GE(stale[0].age_s, 3600.0);
 
-  // A generous threshold keeps a live worker's claim off the list.
-  EXPECT_TRUE(stale_claims(root, 3 * 3600.0).empty());
-
   // A missing queue root stays a hard error, matching run_daemon.
   EXPECT_THROW(static_cast<void>(
-                   stale_claims(fs::path(::testing::TempDir()) / "drowsy_q_missing", 1.0)),
+                   stale_claims(fs::path(::testing::TempDir()) / "drowsy_q_missing")),
                dt::DistribError);
 }
 
@@ -226,53 +255,6 @@ TEST_F(DaemonFixture, UnusableQueueThrows) {
   EXPECT_THROW(static_cast<void>(dt::run_daemon(bad_worker)), dt::DistribError);
   dt::DaemonOptions empty_worker = options(root, "");
   EXPECT_THROW(static_cast<void>(dt::run_daemon(empty_worker)), dt::DistribError);
-}
-
-TEST_F(DaemonFixture, StaleClaimsPreferTheMetricsHeartbeat) {
-  namespace obs = drowsy::obs;
-  const fs::path root = make_queue("heartbeat", 2);
-  // Manifest mtimes date from `shard plan` (rename preserves them), so a
-  // two-hour-old manifest alone says nothing about worker liveness.
-  const fs::path claimed = root / "claimed" / "slowworker";
-  fs::create_directories(claimed);
-  fs::rename(root / "shard_0.json", claimed / "shard_0.json");
-  fs::last_write_time(claimed / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
-
-  // A fresh metrics snapshot is a heartbeat: the claim is not stale even
-  // though the manifest is ancient.
-  obs::WorkerSnapshot snap;
-  snap.worker_id = "slowworker";
-  snap.updated_unix_ms = obs::wall_clock_unix_ms();
-  obs::write_snapshot_file((root / "metrics" / "slowworker.json").string(), snap);
-  EXPECT_TRUE(stale_claims(root, 3600.0).empty());
-
-  // Once the heartbeat itself goes silent, the claim is stale again —
-  // and flagged as judged by the snapshot, not the manifest.
-  fs::last_write_time(root / "metrics" / "slowworker.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto stale = stale_claims(root, 3600.0);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0].worker_id, "slowworker");
-  EXPECT_TRUE(stale[0].from_snapshot);
-  EXPECT_GE(stale[0].age_s, 3600.0);
-
-  // A worker without a snapshot still falls back to the manifest mtime.
-  const fs::path claimed2 = root / "claimed" / "quietworker";
-  fs::create_directories(claimed2);
-  fs::rename(root / "shard_1.json", claimed2 / "shard_1.json");
-  fs::last_write_time(claimed2 / "shard_1.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto both = stale_claims(root, 3600.0);
-  ASSERT_EQ(both.size(), 2u);
-  for (const dt::ClaimInfo& claim : both) {
-    if (claim.worker_id == "quietworker") {
-      EXPECT_FALSE(claim.from_snapshot);
-    }
-    if (claim.worker_id == "slowworker") {
-      EXPECT_TRUE(claim.from_snapshot);
-    }
-  }
 }
 
 TEST_F(DaemonFixture, DaemonPublishesAMetricsSnapshot) {
@@ -361,7 +343,7 @@ TEST_F(DaemonFixture, LeaseFilesAreNotMistakenForTasks) {
       lease);
   fs::last_write_time(root / "claimed" / "w2" / "shard_0.lease.json",
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto stale = stale_claims(root, 3600.0);
+  const auto stale = stale_claims(root);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_TRUE(stale[0].has_lease);
 }
@@ -377,9 +359,7 @@ TEST_F(DaemonFixture, IdleDaemonReapsAJournallessClaimAndReExecutesIt) {
   fs::last_write_time(claimed / "shard_0.json",
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
 
-  dt::DaemonOptions opts = options(root, "w2");
-  opts.reap_stale_after_s = 3600.0;
-  const dt::DaemonOutcome outcome = dt::run_daemon(opts);
+  const dt::DaemonOutcome outcome = dt::run_daemon(options(root, "w2"));
   EXPECT_EQ(outcome.reaped, 1u);
   EXPECT_EQ(outcome.completed, 1u);
   EXPECT_EQ(outcome.failed, 0u);
@@ -406,7 +386,6 @@ TEST_F(DaemonFixture, ReapingCanBeDisabled) {
 
   dt::DaemonOptions opts = options(root, "w2");
   opts.reap = false;
-  opts.reap_stale_after_s = 3600.0;
   const dt::DaemonOutcome outcome = dt::run_daemon(opts);
   EXPECT_EQ(outcome.reaped, 0u);
   EXPECT_EQ(outcome.completed, 0u);

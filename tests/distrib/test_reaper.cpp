@@ -115,7 +115,6 @@ struct ReaperFixture : ::testing::Test {
   static dt::ReapOptions reap_options(const fs::path& root) {
     dt::ReapOptions opts;
     opts.queue_dir = root.string();
-    opts.stale_after_s = 3600.0;
     opts.reaper_id = "test-reaper";
     return opts;
   }
@@ -175,13 +174,13 @@ TEST_F(ReaperFixture, LeaseFileWritesAtomicallyAndReadsBack) {
                dt::DistribError);
 }
 
-TEST_F(ReaperFixture, ListClaimsResolvesLeaseHeartbeatAndMtimeEvidence) {
+TEST_F(ReaperFixture, ListClaimsJudgesLivenessByTheLeaseAlone) {
   const fs::path root = make_queue("evidence", 2);
   const fs::path leased = park_claim(root, "leased", "shard_0");
   const fs::path bare = park_claim(root, "bare", "shard_1");
 
-  // A fresh lease: the claim reports headroom and is not expired even
-  // though the manifest mtime is ancient.
+  // A fresh lease: the claim reports headroom and is live even though
+  // the manifest mtime is ancient.
   dt::Lease lease;
   lease.worker_id = "leased";
   lease.manifest = "shard_0.json";
@@ -189,37 +188,40 @@ TEST_F(ReaperFixture, ListClaimsResolvesLeaseHeartbeatAndMtimeEvidence) {
   lease.renewed_unix_ms = 1;
   lease.ttl_s = 3600.0;
   dt::write_lease_file(dt::lease_path_for(leased.string()), lease);
+  // A lease-less claim is expired even with a fresh manifest mtime, and
+  // a fresh metrics snapshot for its worker changes nothing.
+  fs::last_write_time(bare, fs::file_time_type::clock::now());
+  fs::create_directories(root / "metrics");
+  ASSERT_TRUE(sc::write_file((root / "metrics" / "bare.json").string(), "{}"));
 
   auto claims = dt::list_claims(root.string());
   ASSERT_EQ(claims.size(), 2u);  // path order: bare < leased
   EXPECT_EQ(claims[0].worker_id, "bare");
   EXPECT_FALSE(claims[0].has_lease);
-  EXPECT_FALSE(claims[0].from_snapshot);
-  EXPECT_GE(claims[0].age_s, 3600.0);  // manifest-mtime fallback
+  EXPECT_TRUE(claims[0].expired());
+  EXPECT_EQ(claims[0].expiry(), "no lease");
   EXPECT_EQ(claims[1].worker_id, "leased");
   EXPECT_TRUE(claims[1].has_lease);
   EXPECT_DOUBLE_EQ(claims[1].lease_ttl_s, 3600.0);
   EXPECT_LT(claims[1].age_s, 60.0);  // lease file just written
   EXPECT_GT(claims[1].lease_remaining_s, 3500.0);
-  EXPECT_FALSE(claims[1].expired(1.0)) << "live lease beats any threshold";
-  EXPECT_TRUE(claims[0].expired(3600.0));
+  EXPECT_FALSE(claims[1].expired());
 
-  // Expire the lease by back-dating its renewal: now the claim is stale
-  // under its own TTL, regardless of the caller's threshold.
+  // Back-date the lease's renewal: the claim expires under its own TTL.
   fs::last_write_time(dt::lease_path_for(leased.string()),
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
   claims = dt::list_claims(root.string());
-  EXPECT_TRUE(claims[1].expired(1e9));
+  EXPECT_TRUE(claims[1].expired());
+  EXPECT_GE(claims[1].age_s, 7000.0);
   EXPECT_LT(claims[1].lease_remaining_s, 0.0);
+  EXPECT_EQ(claims[1].expiry().rfind("lease expired ", 0), 0u);
 
-  // An unreadable lease degrades to the mtime fallback instead of hiding
-  // the claim.
+  // An unreadable lease keeps the claim listed, lease-less and expired.
   ASSERT_TRUE(sc::write_file(dt::lease_path_for(leased.string()), "not json"));
-  fs::last_write_time(leased, fs::file_time_type::clock::now() - std::chrono::hours(2));
   claims = dt::list_claims(root.string());
   ASSERT_EQ(claims.size(), 2u);
   EXPECT_FALSE(claims[1].has_lease);
-  EXPECT_GE(claims[1].age_s, 3600.0);
+  EXPECT_TRUE(claims[1].expired());
 }
 
 // The ISSUE's acceptance test: kill a worker, advance past the lease

@@ -360,7 +360,6 @@ struct JournalSetOptions {
   std::vector<std::string> journals;
   EmitOptions emit;             ///< merge only
   std::string queue_dir;        ///< status only: scan claimed/ for stale tasks
-  double stale_after_s = 900.0; ///< status only: stale-claim threshold
   bool json = false;            ///< status only: machine-readable report
 };
 
@@ -500,7 +499,6 @@ int cmd_shard_status(const JournalSetOptions& opts) {
       row.set("manifest", claim.manifest_path);
       row.set("worker_id", claim.worker_id);
       row.set("age_s", claim.age_s);
-      row.set("from_snapshot", claim.from_snapshot);
       row.set("has_lease", claim.has_lease);
       row.set("lease_ttl_s", claim.lease_ttl_s);
       row.set("lease_remaining_s", claim.lease_remaining_s);
@@ -512,7 +510,7 @@ int cmd_shard_status(const JournalSetOptions& opts) {
     j.set("claims", std::move(all_claims));
     ec::Json stale_rows = ec::Json::array();
     for (const dt::ClaimInfo& claim : claims) {
-      if (claim.expired(opts.stale_after_s)) stale_rows.push_back(claim_row(claim));
+      if (claim.expired()) stale_rows.push_back(claim_row(claim));
     }
     j.set("stale_claims", std::move(stale_rows));
     j.set("reap_count", static_cast<std::uint64_t>(reaps.size()));
@@ -547,21 +545,18 @@ int cmd_shard_status(const JournalSetOptions& opts) {
                 static_cast<unsigned long long>(w.profile.total_events()));
   }
   for (const dt::ClaimInfo& claim : claims) {
-    if (claim.expired(opts.stale_after_s)) continue;  // warned about below
-    if (claim.has_lease) {
-      std::printf("  claim %s (worker %s): lease %.0f s remaining\n",
-                  claim.manifest_path.c_str(), claim.worker_id.c_str(),
-                  claim.lease_remaining_s);
-    }
+    if (claim.expired()) continue;  // warned about below
+    std::printf("  claim %s (worker %s): lease %.0f s remaining\n",
+                claim.manifest_path.c_str(), claim.worker_id.c_str(),
+                claim.lease_remaining_s);
   }
   for (const dt::ClaimInfo& claim : claims) {
-    if (!claim.expired(opts.stale_after_s)) continue;
+    if (!claim.expired()) continue;
     std::printf(
-        "  warning: stale claim %s (worker %s, %s %.0f s%s) — run `shard reap`, "
+        "  warning: stale claim %s (worker %s, %s) — run `shard reap`, "
         "or restart a daemon with --worker-id %s\n",
-        claim.manifest_path.c_str(), claim.worker_id.c_str(),
-        claim.from_snapshot ? "heartbeat-silent-for" : "unclaimed-for", claim.age_s,
-        claim.has_lease ? ", lease expired" : "", claim.worker_id.c_str());
+        claim.manifest_path.c_str(), claim.worker_id.c_str(), claim.expiry().c_str(),
+        claim.worker_id.c_str());
   }
   if (!opts.queue_dir.empty() && !reaps.empty()) {
     std::printf("  reaped claims: %zu (last: %s from %s by %s)\n", reaps.size(),
@@ -745,8 +740,6 @@ int main(int argc, char** argv) {
        {{"<sweep.json>", status.sweep_path}}, [&] { return cmd_shard_status(status); },
        {journals_flag(status.journals),
         fl::string("--queue-dir", "D", "also its claims and workers", status.queue_dir),
-        fl::real("--stale-after-s", "S", "stale claim age; default 900",
-                 status.stale_after_s, {.lo = 0.0}),
         fl::toggle("--json", "one JSON document instead of text", status.json)}},
       {"shard daemon", "Serve a queue directory: claim, run and archive shard manifests.",
        {{"<queue-dir>", daemon.queue_dir}}, [&] { return cmd_shard_daemon(daemon); },
@@ -761,9 +754,7 @@ int main(int argc, char** argv) {
         fl::toggle("--no-reap", "never reap expired claims", daemon.reap, false)}},
       {"shard reap", "Return dead workers' expired claims to the queue.",
        {{"<queue-dir>", reap.queue_dir}}, [&] { return cmd_shard_reap(reap); },
-       {fl::real("--stale-after-s", "S", "lease-less expiry; default 900",
-                 reap.stale_after_s, {.lo = 0.0}),
-        fl::toggle("--dry-run", "report, change nothing", reap.dry_run),
+       {fl::toggle("--dry-run", "report, change nothing", reap.dry_run),
         fl::string("--reaper-id", "R", "reap journal name; default <hostname>-<pid>",
                    reap.reaper_id)}},
       {"fault list", "The crash points DROWSY_CRASH_AT=<point>[:<nth>] arms.", {},
