@@ -17,9 +17,6 @@ Controller::Controller(sim::Cluster& cluster, net::SdnSwitch& sw,
       policy_(drowsy_policy_.get()),
       fabric_(cluster, sw, options.requests) {
   drowsy_policy_->set_relocate_all_mode(options.relocate_all);
-  if (options.parallel_model_updates) {
-    pool_ = std::make_unique<util::ThreadPool>();
-  }
 }
 
 void Controller::set_policy(ConsolidationPolicy* policy) {
@@ -37,22 +34,20 @@ void Controller::install() {
     switch_.bind_ip(vm.ip(), host.mac());
   });
 
-  // Waking modules: primary plus (optionally) a heartbeat-mirrored standby.
+  // Waking modules: primary plus a heartbeat-mirrored standby.
   waking_primary_ = std::make_unique<WakingModule>(cluster_, switch_,
                                                    options_.drowsy.waking,
                                                    "waking-primary", /*active=*/true);
   waking_primary_->install_analyzer();
-  if (options_.waking_standby) {
-    waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_,
-                                                     options_.drowsy.waking,
-                                                     "waking-standby", /*active=*/false);
-    waking_standby_->install_analyzer();
-    waking_primary_->set_mirror(waking_standby_.get());
-    waking_pair_ = std::make_unique<net::MirroredPair>(
-        cluster_.queue(), net::HeartbeatConfig{},
-        [standby = waking_standby_.get()] { standby->activate(); });
-    waking_pair_->start();
-  }
+  waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_,
+                                                   options_.drowsy.waking,
+                                                   "waking-standby", /*active=*/false);
+  waking_standby_->install_analyzer();
+  waking_primary_->set_mirror(waking_standby_.get());
+  waking_pair_ = std::make_unique<net::MirroredPair>(
+      cluster_.queue(), net::HeartbeatConfig{},
+      [standby = waking_standby_.get()] { standby->activate(); });
+  waking_pair_->start();
 
   // One suspending module per host, hooked into the host's wake path.
   for (const auto& host : cluster_.hosts()) {
@@ -137,10 +132,8 @@ void Controller::run_hours(std::int64_t hours,
     for (const auto& host : cluster_.hosts()) pump_guest_timers(host->id(), h);
     q.run_until((h + 1) * util::kMsPerHour);
     cluster_.account_hour(h);
-    models_.observe_hour(cluster_, h, pool_.get());
-    if ((h + 1 - start) % options_.consolidation_period_hours == 0) {
-      policy_->run_hour(h + 1);
-    }
+    models_.observe_hour(cluster_, h);
+    policy_->run_hour(h + 1);
     if (on_hour_end) on_hour_end(h);
   }
 }

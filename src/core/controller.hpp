@@ -27,7 +27,6 @@
 #include "net/heartbeat.hpp"
 #include "sim/cluster.hpp"
 #include "sim/requests.hpp"
-#include "util/thread_pool.hpp"
 
 namespace drowsy::core {
 
@@ -37,9 +36,6 @@ struct ControllerOptions {
   sim::RequestConfig requests;
   bool quick_resume = true;       ///< the paper's optimized ≈800 ms resume
   bool relocate_all = false;      ///< §VI-A-1 evaluation mode
-  int consolidation_period_hours = 1;
-  bool waking_standby = true;     ///< deploy the mirrored standby module
-  bool parallel_model_updates = false;
 };
 
 /// The deployment.
@@ -55,16 +51,15 @@ class Controller {
   [[nodiscard]] IdlenessConsolidator& drowsy_policy() { return *drowsy_policy_; }
   [[nodiscard]] sim::RequestFabric& fabric() { return fabric_; }
   [[nodiscard]] WakingModule& waking_primary() { return *waking_primary_; }
-  [[nodiscard]] WakingModule* waking_standby() { return waking_standby_.get(); }
+  [[nodiscard]] WakingModule& waking_standby() { return *waking_standby_; }
   [[nodiscard]] SuspendModule& suspend_module(sim::HostId id) {
     return *suspend_modules_[id];
   }
 
-  /// Crash simulation: stop the primary waking module's heartbeats so the
-  /// standby's monitor detects the failure and promotes itself.
-  void waking_pair_kill_primary() {
-    if (waking_pair_) waking_pair_->kill_primary();
-  }
+  /// Crash simulation: kill the primary waking module.  The standby is
+  /// promoted at the instant its heartbeat checks would miss the
+  /// primary's beats `miss_threshold` times in a row.
+  void waking_pair_kill_primary() { waking_pair_->kill_primary(); }
   [[nodiscard]] const ControllerOptions& options() const { return options_; }
 
   /// Wire ports, hooks, analyzers and suspend daemons.  Call once, after
@@ -100,7 +95,6 @@ class Controller {
   std::unique_ptr<WakingModule> waking_standby_;
   std::unique_ptr<net::MirroredPair> waking_pair_;
   std::vector<std::unique_ptr<SuspendModule>> suspend_modules_;
-  std::unique_ptr<util::ThreadPool> pool_;
   bool installed_ = false;
 };
 

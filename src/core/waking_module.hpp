@@ -9,9 +9,10 @@
 //      WoL *ahead of time* so the host is up when the timer fires.
 //
 // Fault tolerance: modules are deployed in mirrored pairs.  Every
-// registration is forwarded to the standby; a heartbeat monitor promotes
-// the standby when the primary dies (net::MirroredPair provides the
-// detection machinery; the promote callback calls activate() here).
+// registration is forwarded to the standby.  When the primary dies,
+// net::MirroredPair schedules the standby's promotion (the promote
+// callback calls activate() here) for the instant its heartbeat checks
+// would have missed `miss_threshold` beats in a row.
 #pragma once
 
 #include <cstdint>

@@ -14,15 +14,7 @@ void HeartbeatMonitor::start() {
   failed_over_ = false;
   misses_ = 0;
   beat_since_check_ = false;
-  const std::uint64_t gen = ++generation_;
-  dispatcher_.schedule_after(
-      config_.interval, [this, gen] { if (generation_ == gen && running_) check(); },
-      obs::EventTag::Heartbeat);
-}
-
-void HeartbeatMonitor::stop() {
-  running_ = false;
-  ++generation_;
+  dispatcher_.schedule_after(config_.interval, [this] { check(); }, obs::EventTag::Heartbeat);
 }
 
 void HeartbeatMonitor::beat_received() { beat_since_check_ = true; }
@@ -41,32 +33,40 @@ void HeartbeatMonitor::check() {
     if (on_failover_) on_failover_();
     return;
   }
-  const std::uint64_t gen = generation_;
-  dispatcher_.schedule_after(
-      config_.interval, [this, gen] { if (generation_ == gen && running_) check(); },
-      obs::EventTag::Heartbeat);
+  dispatcher_.schedule_after(config_.interval, [this] { check(); }, obs::EventTag::Heartbeat);
 }
 
 MirroredPair::MirroredPair(Dispatcher& dispatcher, HeartbeatConfig config,
                            std::function<void()> on_promote_standby)
     : dispatcher_(dispatcher),
       config_(config),
-      monitor_(dispatcher, config, std::move(on_promote_standby)) {}
+      on_promote_standby_(std::move(on_promote_standby)) {}
 
 void MirroredPair::start() {
   if (started_) return;
   started_ = true;
-  monitor_.start();
-  emit_beat();
+  started_at_ = dispatcher_.now();
+  if (!primary_alive_) schedule_promote(started_at_ + config_.miss_threshold * config_.interval);
 }
 
-void MirroredPair::kill_primary() { primary_alive_ = false; }
-
-void MirroredPair::emit_beat() {
+void MirroredPair::kill_primary() {
   if (!primary_alive_) return;
-  monitor_.beat_received();
-  dispatcher_.schedule_after(config_.interval, [this] { emit_beat(); },
-                             obs::EventTag::Heartbeat);
+  primary_alive_ = false;
+  if (!started_) return;
+  const auto last_beat = (dispatcher_.now() - started_at_) / config_.interval;
+  schedule_promote(started_at_ + (last_beat + 1 + config_.miss_threshold) * config_.interval);
+}
+
+void MirroredPair::schedule_promote(util::SimTime at) {
+  dispatcher_.schedule_after(
+      at - dispatcher_.now(),
+      [this] {
+        promoted_ = true;
+        DROWSY_LOG_INFO("heartbeat", "primary declared dead after %d misses; promoting standby",
+                        config_.miss_threshold);
+        if (on_promote_standby_) on_promote_standby_();
+      },
+      obs::EventTag::Heartbeat);
 }
 
 }  // namespace drowsy::net

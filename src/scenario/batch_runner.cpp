@@ -7,7 +7,6 @@
 
 #include "scenario/trace_cache.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace drowsy::scenario {
 

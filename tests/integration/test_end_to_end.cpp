@@ -185,7 +185,6 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
 
   c::ControllerOptions opts;
   opts.requests.base_rate_per_hour = 120;
-  opts.waking_standby = true;
   c::Controller controller(cluster, sw, opts);
   controller.install();
 
@@ -197,10 +196,9 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
   controller.waking_pair_kill_primary();      // stop its heartbeats
   controller.run_hours(12);
 
-  ASSERT_NE(controller.waking_standby(), nullptr);
-  EXPECT_TRUE(controller.waking_standby()->active())
+  EXPECT_TRUE(controller.waking_standby().active())
       << "heartbeat failover must promote the standby";
-  EXPECT_GT(controller.waking_standby()->stats().packet_wakes, 0u)
+  EXPECT_GT(controller.waking_standby().stats().packet_wakes, 0u)
       << "the promoted standby must keep waking hosts";
   // Requests kept completing after the failover.
   EXPECT_GT(controller.fabric().stats().total, 0u);
