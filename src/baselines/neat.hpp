@@ -52,7 +52,6 @@ class NeatConsolidation final : public core::ConsolidationPolicy {
   /// Overload verdict for one host (exposed for unit tests).
   [[nodiscard]] bool overloaded(const sim::Host& host, double current_util) const;
 
-  [[nodiscard]] const NeatConfig& config() const { return config_; }
 
  private:
   [[nodiscard]] std::vector<sim::Vm*> select_vms(sim::Host& host,

@@ -41,7 +41,6 @@ class OasisConsolidation final : public core::ConsolidationPolicy {
   /// idleness state (both idle or both active).  Exposed for tests.
   [[nodiscard]] double pair_score(sim::VmId a, sim::VmId b) const;
 
-  [[nodiscard]] const OasisConfig& config() const { return config_; }
 
  private:
   void record_hour(std::int64_t hour);

@@ -64,7 +64,6 @@ class IdlenessConsolidator final : public ConsolidationPolicy {
   /// Enable relocate-all mode inside run_hour (used by the Fig. 2 bench).
   void set_relocate_all_mode(bool enabled) { relocate_all_mode_ = enabled; }
 
-  [[nodiscard]] const PlacementConfig& config() const { return config_; }
 
  private:
   struct HostView {

@@ -48,19 +48,14 @@ class Controller {
   void set_policy(ConsolidationPolicy* policy);
 
   [[nodiscard]] ModelBuilder& models() { return models_; }
-  [[nodiscard]] IdlenessConsolidator& drowsy_policy() { return *drowsy_policy_; }
   [[nodiscard]] sim::RequestFabric& fabric() { return fabric_; }
   [[nodiscard]] WakingModule& waking_primary() { return *waking_primary_; }
   [[nodiscard]] WakingModule& waking_standby() { return *waking_standby_; }
-  [[nodiscard]] SuspendModule& suspend_module(sim::HostId id) {
-    return *suspend_modules_[id];
-  }
 
   /// Crash simulation: kill the primary waking module.  The standby is
   /// promoted at the instant its heartbeat checks would miss the
   /// primary's beats `miss_threshold` times in a row.
   void waking_pair_kill_primary() { waking_pair_->kill_primary(); }
-  [[nodiscard]] const ControllerOptions& options() const { return options_; }
 
   /// Wire ports, hooks, analyzers and suspend daemons.  Call once, after
   /// topology setup and initial placement.

@@ -2,10 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <istream>
-#include <limits>
-#include <ostream>
-#include <stdexcept>
 
 #include "util/math.hpp"
 
@@ -84,67 +80,6 @@ void IdlenessModel::observe_hour(const util::CalendarTime& c, double activity_le
     learn_weights(si_before, si_vector(c));
   }
   ++observed_hours_;
-}
-
-namespace {
-constexpr char kMagic[] = "drowsy-im";
-constexpr int kVersion = 1;
-
-void write_block(std::ostream& out, const std::vector<double>& values) {
-  out << values.size() << '\n';
-  for (double v : values) out << v << ' ';
-  out << '\n';
-}
-
-std::vector<double> read_block(std::istream& in, std::size_t expected) {
-  std::size_t n = 0;
-  if (!(in >> n) || n != expected) {
-    throw std::runtime_error("idleness model: bad score block size");
-  }
-  std::vector<double> values(n);
-  for (double& v : values) {
-    if (!(in >> v)) throw std::runtime_error("idleness model: truncated score block");
-  }
-  return values;
-}
-}  // namespace
-
-void IdlenessModel::save(std::ostream& out) const {
-  const auto precision = out.precision();
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << kMagic << ' ' << kVersion << '\n';
-  out << active_level_sum_ << ' ' << active_hours_ << ' ' << observed_hours_ << '\n';
-  for (double w : weights_) out << w << ' ';
-  out << '\n';
-  write_block(out, si_day_);
-  write_block(out, si_week_);
-  write_block(out, si_month_);
-  write_block(out, si_year_);
-  out.precision(precision);
-}
-
-IdlenessModel IdlenessModel::load(std::istream& in, IdlenessModelConfig config) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kMagic) {
-    throw std::runtime_error("idleness model: bad magic");
-  }
-  if (version != kVersion) {
-    throw std::runtime_error("idleness model: unsupported version " +
-                             std::to_string(version));
-  }
-  IdlenessModel model(config);
-  if (!(in >> model.active_level_sum_ >> model.active_hours_ >> model.observed_hours_)) {
-    throw std::runtime_error("idleness model: truncated header");
-  }
-  for (double& w : model.weights_) {
-    if (!(in >> w)) throw std::runtime_error("idleness model: truncated weights");
-  }
-  model.si_day_ = read_block(in, u::kHoursPerDay);
-  model.si_week_ = read_block(in, u::kHoursPerDay * u::kDaysPerWeek);
-  model.si_month_ = read_block(in, u::kHoursPerDay * u::kDaysPerMonth);
-  model.si_year_ = read_block(in, u::kHoursPerYear);
-  return model;
 }
 
 void IdlenessModel::learn_weights(const std::array<double, kScaleCount>& si_before,

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "core/config.hpp"
@@ -62,7 +61,6 @@ class IdlenessModel {
   void observe_hour(const util::CalendarTime& c, double activity_level);
 
   [[nodiscard]] const std::array<double, kScaleCount>& weights() const { return weights_; }
-  [[nodiscard]] const IdlenessModelConfig& config() const { return config_; }
 
   /// Mean activity level over past *active* hours (the ā of eq. 2).
   [[nodiscard]] double mean_active_level() const;
@@ -72,16 +70,6 @@ class IdlenessModel {
 
   /// Direct SI access for tests/inspection.
   [[nodiscard]] double si(Scale scale, const util::CalendarTime& c) const;
-
-  /// Persist the full model state (scores, weights, activity statistics)
-  /// in a versioned text format.  A model follows its VM across live
-  /// migrations and controller restarts.
-  void save(std::ostream& out) const;
-
-  /// Restore a model saved with save().  Throws std::runtime_error on a
-  /// malformed or version-incompatible stream.  The model's config stays
-  /// as constructed (tunables are deployment policy, not learned state).
-  static IdlenessModel load(std::istream& in, IdlenessModelConfig config = {});
 
  private:
   [[nodiscard]] std::array<std::size_t, kScaleCount> slot_indices(

@@ -29,17 +29,10 @@ void SuspendModule::start() {
   schedule_next();
 }
 
-void SuspendModule::stop() {
-  running_ = false;
-  ++generation_;
-}
-
 void SuspendModule::schedule_next() {
-  const std::uint64_t gen = generation_;
   cluster_.queue().schedule_after(
       config_.check_interval,
-      [this, gen] {
-        if (generation_ != gen || !running_) return;
+      [this] {
         check();
         schedule_next();
       },

@@ -45,9 +45,9 @@ class SuspendModule {
   /// Attach the waking module(s) to notify before suspending.
   void set_waking_module(WakingModule* waking) { waking_ = waking; }
 
-  /// Begin periodic checks on the cluster's event queue.
+  /// Begin periodic checks on the cluster's event queue; they run for the
+  /// rest of the simulation.
   void start();
-  void stop();
 
   /// The idleness decision, exposed for tests: true when nothing relevant
   /// runs, nothing waits on I/O and no session is open on any resident VM.
@@ -69,7 +69,6 @@ class SuspendModule {
 
   [[nodiscard]] const SuspendStats& stats() const { return stats_; }
   [[nodiscard]] util::SimTime grace_until() const { return grace_until_; }
-  [[nodiscard]] const kern::Blacklist& blacklist() const { return blacklist_; }
 
  private:
   void schedule_next();
@@ -81,7 +80,6 @@ class SuspendModule {
   kern::Blacklist blacklist_;
   WakingModule* waking_ = nullptr;
   bool running_ = false;
-  std::uint64_t generation_ = 0;
   util::SimTime grace_until_ = 0;
   SuspendStats stats_;
 };

@@ -66,7 +66,6 @@ class WakingModule {
   void on_host_resumed(const sim::Host& host);
 
   [[nodiscard]] const WakingStats& stats() const { return stats_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Number of live entries in the VM→host map (observability).
   [[nodiscard]] std::size_t vm_map_size() const { return vm_to_host_.size(); }

@@ -102,12 +102,6 @@ void disarm() {
   }
 }
 
-std::uint64_t hits(const std::string& point) {
-  const int index = point_index(point.c_str());
-  if (index < 0) throw DistribError("unknown crash point \"" + point + "\"");
-  return g_hits[index].load(std::memory_order_relaxed);
-}
-
 bool triggered(const char* point) noexcept {
   if (!compiled_in()) return false;
   const int index = point_index(point);

@@ -65,10 +65,6 @@ void arm_from_env();
 /// Disarm and reset all hit counters (tests re-arm between cases).
 void disarm();
 
-/// How many times execution has reached `point` since the last
-/// arm()/disarm().  Unknown points throw DistribError.
-[[nodiscard]] std::uint64_t hits(const std::string& point);
-
 /// Record one pass through `point`; returns true when this pass is the
 /// armed, fatal one — the caller must then complete any staged damage
 /// (e.g. a half-written journal row) and call die().  Returns false

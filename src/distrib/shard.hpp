@@ -50,10 +50,6 @@ struct JobKey {
   [[nodiscard]] std::string encode() const;
 };
 
-/// Compute the key for one grid entry (hashes the spec; cache-worthy in
-/// bulk paths — see job_keys()).
-[[nodiscard]] JobKey job_key(const scenario::BatchJob& job);
-
 /// Keys for a whole grid.  Hashes each distinct spec once: consecutive
 /// grid entries share specs (policy/seed vary fastest), so this is
 /// near-free for real sweeps.

@@ -81,12 +81,6 @@ const std::string& Json::as_string() const {
   return string_;
 }
 
-std::size_t Json::size() const {
-  if (type_ == Type::Array) return array_.size();
-  if (type_ == Type::Object) return object_.size();
-  type_error("array or object");
-}
-
 const Json& Json::at(std::size_t index) const {
   if (type_ != Type::Array) type_error("array");
   if (index >= array_.size()) {

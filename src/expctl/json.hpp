@@ -46,14 +46,11 @@ class Json {
   [[nodiscard]] static Json array() { Json j; j.type_ = Type::Array; return j; }
   [[nodiscard]] static Json object() { Json j; j.type_ = Type::Object; return j; }
 
-  [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::Null; }
-  [[nodiscard]] bool is_bool() const { return type_ == Type::Bool; }
   [[nodiscard]] bool is_number() const {
     return type_ == Type::Int || type_ == Type::Uint || type_ == Type::Double;
   }
   [[nodiscard]] bool is_string() const { return type_ == Type::String; }
-  [[nodiscard]] bool is_array() const { return type_ == Type::Array; }
   [[nodiscard]] bool is_object() const { return type_ == Type::Object; }
 
   // Strict accessors; throw JsonError on type mismatch (as_int/as_uint
@@ -63,9 +60,6 @@ class Json {
   [[nodiscard]] std::uint64_t as_uint() const;
   [[nodiscard]] double as_double() const;  ///< any number, converted
   [[nodiscard]] const std::string& as_string() const;
-
-  /// Array / object element count; throws for scalars.
-  [[nodiscard]] std::size_t size() const;
 
   // Arrays.
   [[nodiscard]] const Json& at(std::size_t index) const;

@@ -56,9 +56,7 @@ class GuestOs {
   ~GuestOs();
 
   [[nodiscard]] ProcessTable& processes() { return procs_; }
-  [[nodiscard]] const ProcessTable& processes() const { return procs_; }
   [[nodiscard]] HrTimerQueue& timers() { return timers_; }
-  [[nodiscard]] const HrTimerQueue& timers() const { return timers_; }
 
   /// Spawn the main service process of the VM (e.g. "webserver").
   Pid spawn_service(std::string name);

@@ -4,16 +4,6 @@
 
 namespace drowsy::kern {
 
-const char* to_string(ProcState s) {
-  switch (s) {
-    case ProcState::Running: return "running";
-    case ProcState::Sleeping: return "sleeping";
-    case ProcState::BlockedIo: return "blocked-io";
-    case ProcState::Zombie: return "zombie";
-  }
-  return "?";
-}
-
 void Blacklist::add_exact(std::string name) { exact_.push_back(std::move(name)); }
 
 void Blacklist::add_prefix(std::string prefix) { prefixes_.push_back(std::move(prefix)); }
@@ -52,7 +42,6 @@ Pid ProcessTable::spawn(std::string name, ProcState initial, bool kernel_thread)
   return pid;
 }
 
-bool ProcessTable::reap(Pid pid) { return procs_.erase(pid) > 0; }
 
 Process* ProcessTable::find(Pid pid) {
   auto it = procs_.find(pid);

@@ -22,10 +22,7 @@ enum class ProcState {
   Running,    ///< on CPU or runnable
   Sleeping,   ///< voluntarily sleeping (usually with an armed timer)
   BlockedIo,  ///< waiting on I/O — host must not be suspended (paper §IV)
-  Zombie,     ///< exited, awaiting reap
 };
-
-[[nodiscard]] const char* to_string(ProcState s);
 
 /// One process of a guest OS.
 struct Process {
@@ -65,9 +62,6 @@ class ProcessTable {
   /// Spawn a process; returns its pid.
   Pid spawn(std::string name, ProcState initial = ProcState::Sleeping,
             bool kernel_thread = false);
-
-  /// Remove a process.  Returns false if the pid is unknown.
-  bool reap(Pid pid);
 
   [[nodiscard]] Process* find(Pid pid);
   [[nodiscard]] const Process* find(Pid pid) const;

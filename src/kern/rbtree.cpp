@@ -11,11 +11,6 @@ namespace {
   while (n->left != nullptr) n = n->left;
   return n;
 }
-
-[[nodiscard]] RbNode* maximum(RbNode* n) {
-  while (n->right != nullptr) n = n->right;
-  return n;
-}
 }  // namespace
 
 void RbTree::link_node(RbNode* node, RbNode* parent, RbNode** link) {
@@ -216,24 +211,11 @@ void RbTree::erase_fixup(RbNode* x, RbNode* parent) {
 
 RbNode* RbTree::first() const { return root_ == nullptr ? nullptr : minimum(root_); }
 
-RbNode* RbTree::last() const { return root_ == nullptr ? nullptr : maximum(root_); }
-
 RbNode* RbTree::next(const RbNode* node) {
   if (node->right != nullptr) return minimum(node->right);
   const RbNode* n = node;
   RbNode* parent = n->parent;
   while (parent != nullptr && n == parent->right) {
-    n = parent;
-    parent = parent->parent;
-  }
-  return parent;
-}
-
-RbNode* RbTree::prev(const RbNode* node) {
-  if (node->left != nullptr) return maximum(node->left);
-  const RbNode* n = node;
-  RbNode* parent = n->parent;
-  while (parent != nullptr && n == parent->left) {
     n = parent;
     parent = parent->parent;
   }

@@ -41,7 +41,6 @@ class RbTree {
 
   [[nodiscard]] bool empty() const { return root_ == nullptr; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] RbNode* root() const { return root_; }
 
   /// Phase 1 of insertion: splice `node` into the leaf position `*link`
   /// under `parent` (kernel rb_link_node).
@@ -55,11 +54,8 @@ class RbTree {
 
   /// Leftmost (minimum) node, or nullptr when empty (kernel rb_first).
   [[nodiscard]] RbNode* first() const;
-  /// Rightmost (maximum) node (kernel rb_last).
-  [[nodiscard]] RbNode* last() const;
-  /// In-order successor / predecessor (kernel rb_next / rb_prev).
+  /// In-order successor (kernel rb_next).
   [[nodiscard]] static RbNode* next(const RbNode* node);
-  [[nodiscard]] static RbNode* prev(const RbNode* node);
 
   /// Convenience comparator-driven insertion; Less is a strict weak order
   /// over payload nodes.
@@ -74,10 +70,6 @@ class RbTree {
     link_node(node, parent, link);
     insert_color(node);
   }
-
-  /// Expose the root link for manual descent (advanced use, mirrors kernel
-  /// code that walks rb_node** itself).
-  [[nodiscard]] RbNode** root_link() { return &root_; }
 
   /// Validate red-black invariants; returns black-height or -1 on violation.
   /// Test-only helper (O(n)).

@@ -50,7 +50,6 @@ class WindowedConfusion {
   void add(bool predicted_idle, bool actually_idle);
 
   [[nodiscard]] const ConfusionCounter& counts() const { return counts_; }
-  [[nodiscard]] std::size_t window() const { return window_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:

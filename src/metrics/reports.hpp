@@ -25,11 +25,6 @@ struct SuspendFractionRow {
     const std::string& algorithm, sim::Cluster& cluster,
     const std::vector<sim::HostId>& hosts, util::SimTime window_start);
 
-/// Render Table I from a set of rows.
-[[nodiscard]] std::string suspend_fraction_table(
-    const std::vector<SuspendFractionRow>& rows, sim::Cluster& cluster,
-    const std::vector<sim::HostId>& hosts);
-
 /// One experiment's energy/SLA outcome.
 struct EnergySummary {
   std::string algorithm;

@@ -31,14 +31,4 @@ Ipv4 Ipv4::for_vm(std::uint32_t index) {
   return Ipv4{(10u << 24) | (index + 2)};  // 10.0.0.2 upward
 }
 
-const char* to_string(PacketKind k) {
-  switch (k) {
-    case PacketKind::Request: return "request";
-    case PacketKind::Response: return "response";
-    case PacketKind::WakeOnLan: return "wol";
-    case PacketKind::Heartbeat: return "heartbeat";
-  }
-  return "?";
-}
-
 }  // namespace drowsy::net

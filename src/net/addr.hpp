@@ -46,8 +46,6 @@ enum class PacketKind {
   Heartbeat,  ///< waking-module liveness beacon
 };
 
-[[nodiscard]] const char* to_string(PacketKind k);
-
 /// One simulated frame.
 struct Packet {
   PacketKind kind = PacketKind::Request;

@@ -4,11 +4,6 @@
 
 namespace drowsy::net {
 
-void ImmediateDispatcher::schedule_after(util::SimTime delay, util::InlineFn fn) {
-  (void)delay;
-  fn();
-}
-
 SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency)
     : dispatcher_(dispatcher), port_latency_(port_latency) {}
 
@@ -16,11 +11,7 @@ void SdnSwitch::attach_port(MacAddress mac, std::function<void(const Packet&)> d
   ports_[mac] = std::move(deliver);
 }
 
-void SdnSwitch::detach_port(const MacAddress& mac) { ports_.erase(mac); }
-
 void SdnSwitch::bind_ip(Ipv4 ip, MacAddress host_mac) { forwarding_[ip] = host_mac; }
-
-void SdnSwitch::unbind_ip(Ipv4 ip) { forwarding_.erase(ip); }
 
 const MacAddress* SdnSwitch::lookup_ip(Ipv4 ip) const {
   auto it = forwarding_.find(ip);
@@ -60,8 +51,10 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
     return false;
   }
   ++forwarded_;
-  auto deliver = it->second;  // copy: the port may detach before delivery
-  dispatcher_.schedule_after(port_latency_, [deliver, packet] { deliver(packet); },
+  // Map nodes are stable and never erased: {handler, packet} is 48 bytes
+  // and fits the event record inline.
+  const auto* deliver = &it->second;
+  dispatcher_.schedule_after(port_latency_, [deliver, packet] { (*deliver)(packet); },
                              obs::EventTag::NetsimFrame);
   return true;
 }

@@ -22,19 +22,17 @@
 namespace drowsy::net {
 
 /// Deferred-execution interface the network uses to model latency.  The
-/// discrete-event simulator implements this; unit tests use an immediate
-/// executor.  Callbacks travel as util::InlineFn (the event core's
-/// small-buffer payload type) so a frame delivery scheduled through this
-/// interface lands in the slab event record without a std::function
-/// allocation; lambdas convert implicitly.
+/// discrete-event simulator implements this.  Callbacks travel as
+/// util::InlineFn (the event core's small-buffer payload type) so a frame
+/// delivery scheduled through this interface lands in the slab event
+/// record without a std::function allocation; lambdas convert implicitly.
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
   /// Run `fn` after `delay` of simulated time.
   virtual void schedule_after(util::SimTime delay, util::InlineFn fn) = 0;
   /// Tagged variant for event-core profiling (obs::EventTag attribution).
-  /// Default drops the tag and forwards, so dispatchers that don't
-  /// profile (ImmediateDispatcher) need no changes; sim::EventQueue and
+  /// Default drops the tag and forwards; sim::EventQueue and
   /// netsim::EventQueueDispatcher override it to carry the tag through.
   virtual void schedule_after(util::SimTime delay, util::InlineFn fn,
                               obs::EventTag /*tag*/) {
@@ -42,24 +40,6 @@ class Dispatcher {
   }
   /// Current simulated instant.
   [[nodiscard]] virtual util::SimTime now() const = 0;
-};
-
-/// Runs everything inline at a fixed time (for unit tests).
-class ImmediateDispatcher final : public Dispatcher {
- public:
-  using Dispatcher::schedule_after;  // keep the tagged overload visible
-  void schedule_after(util::SimTime delay, util::InlineFn fn) override;
-  [[nodiscard]] util::SimTime now() const override { return now_; }
-  void set_now(util::SimTime t) { now_ = t; }
-
- private:
-  util::SimTime now_ = 0;
-};
-
-/// A switch port: frames addressed to `mac` are handed to `deliver`.
-struct Port {
-  MacAddress mac{};
-  std::function<void(const Packet&)> deliver;
 };
 
 /// Packet analyzers run before forwarding; returning Drop consumes the
@@ -73,13 +53,13 @@ class SdnSwitch {
   explicit SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency = 0);
 
   /// Attach a port; frames to `mac` are delivered there.
+  /// Ports are never detached, so a frame in flight can refer to its
+  /// port's handler in place.
   void attach_port(MacAddress mac, std::function<void(const Packet&)> deliver);
-  void detach_port(const MacAddress& mac);
 
   /// Bind a VM IP to the MAC of its hosting server.  The paper updates
   /// these mappings "only when a host is suspended" — callers decide when.
   void bind_ip(Ipv4 ip, MacAddress host_mac);
-  void unbind_ip(Ipv4 ip);
   [[nodiscard]] const MacAddress* lookup_ip(Ipv4 ip) const;
 
   /// Install a packet analyzer (e.g. the waking module); analyzers run in

@@ -212,8 +212,4 @@ double WakeFabric::host_unreachable_s() const {
   return static_cast<double>(total) / 1000.0;
 }
 
-bool WakeFabric::unreachable(sim::HostId id) const {
-  return id < unreachable_.size() && unreachable_[id];
-}
-
 }  // namespace drowsy::netsim

@@ -106,7 +106,6 @@ class WakeFabric {
   [[nodiscard]] std::uint64_t wol_frames() const { return wol_.sent_count(); }
   /// Total host-seconds spent unreachable (closed + still-open intervals).
   [[nodiscard]] double host_unreachable_s() const;
-  [[nodiscard]] bool unreachable(sim::HostId id) const;
 
  private:
   void emit_beats(sim::HostId id);

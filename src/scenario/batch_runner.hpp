@@ -4,9 +4,10 @@
 // EventQueue, Cluster and Controller), so the batch fans runs across
 // util::ThreadPool with no shared mutable state.  Results land in a
 // vector indexed by job order — never by completion order — which makes
-// the output bit-identical at 1 and N worker threads.  Aggregation means
-// replicate seeds into one row per (scenario, policy) and renders CSV and
-// JSON summaries next to metrics::reports' human-readable tables.
+// the output bit-identical at 1 and N worker threads.  Replicate
+// statistics and policy verdicts live in expctl::report; aggregate() below
+// is the plain per-(scenario, policy) mean that perfbench's anchor checks
+// read.
 #pragma once
 
 #include <cstddef>
@@ -114,18 +115,6 @@ struct AggregateRow {
 
 /// Per-run results as CSV (header + one line per run, fixed formatting).
 [[nodiscard]] std::string to_csv(const std::vector<RunResult>& results);
-
-/// Aggregates as CSV.
-[[nodiscard]] std::string to_csv(const std::vector<AggregateRow>& rows);
-
-/// Per-run results as a JSON array of objects.
-[[nodiscard]] std::string to_json(const std::vector<RunResult>& results);
-
-/// Aggregates as a JSON array of objects.
-[[nodiscard]] std::string to_json(const std::vector<AggregateRow>& rows);
-
-/// Human-readable aggregate table (align with metrics::reports style).
-[[nodiscard]] std::string aggregate_table(const std::vector<AggregateRow>& rows);
 
 /// Write `content` to `path`; returns false (and logs) on I/O failure.
 bool write_file(const std::string& path, const std::string& content);

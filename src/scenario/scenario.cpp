@@ -264,7 +264,7 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
                                  (workload.kind == TraceKind::FileReplay &&
                                   workload.select.empty()))) {
         // nutanix_like decorrelates by variant internally (seed + variant),
-        // matching the nutanix_week catalogue when the seed stays fixed.
+        // giving the five Fig. 1 VMs in order when the seed stays fixed.
         // FileReplay without an explicit column walks the file's columns
         // the same way (wrapping at the column count).
         workload.variant += static_cast<std::size_t>(i);

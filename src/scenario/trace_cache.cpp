@@ -82,11 +82,6 @@ std::shared_ptr<const trace::ActivityTrace> TraceCache::get(const TraceSpec& spe
   return it->second;
 }
 
-std::size_t TraceCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 std::uint64_t TraceCache::hits() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return hits_;

@@ -58,7 +58,6 @@ class TraceCache {
   [[nodiscard]] std::shared_ptr<const trace::ActivityTrace> get(
       const TraceSpec& spec, std::uint64_t fallback_seed);
 
-  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
 

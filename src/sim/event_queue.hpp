@@ -95,7 +95,6 @@ class EventQueue final : public net::Dispatcher {
   /// The profile must outlive the attachment; callers detach before
   /// tearing it down.
   void set_profile(obs::EventProfile* profile) { profile_ = profile; }
-  [[nodiscard]] obs::EventProfile* profile() const { return profile_; }
 
   /// Execute the next event; returns false when the queue is empty.
   bool step();

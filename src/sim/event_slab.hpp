@@ -74,9 +74,6 @@ class EventSlab {
   [[nodiscard]] EventRecord& operator[](std::uint32_t idx) {
     return chunks_[idx >> kChunkShift][idx & kChunkMask];
   }
-  [[nodiscard]] const EventRecord& operator[](std::uint32_t idx) const {
-    return chunks_[idx >> kChunkShift][idx & kChunkMask];
-  }
 
   /// High-water mark of slots ever claimed (capacity actually built).
   [[nodiscard]] std::uint32_t high_water() const { return top_; }

@@ -73,14 +73,13 @@ class Host {
   [[nodiscard]] double suspended_fraction(util::SimTime window_start) const;
 
   // --- power transitions ----------------------------------------------------
-  /// Begin S0 → S3.  Returns false when not in S0.  `on_suspended` runs
-  /// once the host has fully entered S3.
-  bool begin_suspend(std::function<void()> on_suspended = {});
+  /// Begin S0 → S3.  Returns false when not in S0.
+  bool begin_suspend();
 
   /// Begin S3 → S0 (e.g. on WoL receipt).  If called while Suspending, the
   /// resume is queued to start as soon as S3 is reached.  Returns false if
-  /// already awake.  `on_resumed` runs once fully in S0.
-  bool begin_resume(std::function<void()> on_resumed = {});
+  /// already awake.  Use when_awake to act once the host is fully in S0.
+  bool begin_resume();
 
   /// Run `fn` as soon as the host is awake: immediately when in S0,
   /// otherwise once the (separately triggered) resume completes.  Unlike

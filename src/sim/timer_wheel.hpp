@@ -75,9 +75,6 @@ class TimerWheel {
   /// will actually reach.
   [[nodiscard]] std::uint32_t take_due_chain(util::SimTime bound);
 
-  [[nodiscard]] bool empty() const {
-    return !any_bit(l0_bits_) && !any_bit(l1_bits_) && far_.empty();
-  }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:

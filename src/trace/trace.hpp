@@ -40,7 +40,6 @@ class ActivityTrace {
   [[nodiscard]] std::size_t size() const { return hours_.size(); }
   [[nodiscard]] bool empty() const { return hours_.empty(); }
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   /// Fraction of hours with activity below `idle_threshold`.
   [[nodiscard]] double idle_fraction(double idle_threshold = 0.005) const;
@@ -53,13 +52,6 @@ class ActivityTrace {
   /// `llmi_idle_fraction`, else LLMU.
   [[nodiscard]] VmClass classify(std::size_t short_lifetime_hours = 7 * 24,
                                  double llmi_idle_fraction = 0.5) const;
-
-  /// Tile this trace until it covers `hours` entries (the paper extends
-  /// one-week production traces to three years for Fig. 4).
-  [[nodiscard]] ActivityTrace extended_to(std::size_t total_hours) const;
-
-  /// Append one hour.
-  void push_back(double level);
 
  private:
   std::vector<double> hours_;

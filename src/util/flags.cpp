@@ -49,6 +49,19 @@ std::string synopsis(const std::string& tool, const Command& command) {
   return out + "\n";
 }
 
+/// The synopsis, then the summary and one help line per flag.
+std::string detailed(const std::string& tool, const Command& command) {
+  std::string out = synopsis(tool, command) + "  " + command.summary + "\n";
+  for (const Flag& flag : command.flags) {
+    std::string left = label(flag);
+    left.resize(std::max(left.size() + 1, kHelpColumn), ' ');
+    out += "    " + left + flag.help + "\n";
+  }
+  return out;
+}
+
+bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
+
 }  // namespace
 
 Flag string(std::string name, std::string metavar, std::string help, std::string& out) {
@@ -173,14 +186,7 @@ std::string usage(const std::string& tool, const std::vector<Command>& commands,
   std::string out;
   for (const Command& command : commands) {
     if (detail && !out.empty()) out += "\n";
-    out += synopsis(tool, command);
-    if (!detail) continue;
-    out += "  " + command.summary + "\n";
-    for (const Flag& flag : command.flags) {
-      std::string left = label(flag);
-      left.resize(std::max(left.size() + 1, kHelpColumn), ' ');
-      out += "    " + left + flag.help + "\n";
-    }
+    out += detail ? detailed(tool, command) : synopsis(tool, command);
   }
   return out;
 }
@@ -188,12 +194,17 @@ std::string usage(const std::string& tool, const std::vector<Command>& commands,
 int dispatch(const std::string& tool, const std::vector<Command>& commands, int argc,
              char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  if (!args.empty() && (args[0] == "--help" || args[0] == "-h" || args[0] == "help")) {
+  if (!args.empty() && (is_help(args[0]) || args[0] == "help")) {
     std::fputs(usage(tool, commands, /*detail=*/true).c_str(), stdout);
     return 0;
   }
   std::size_t consumed = 0;
   const Command* command = find(commands, args, consumed);
+  if (command != nullptr &&
+      std::any_of(args.begin() + static_cast<std::ptrdiff_t>(consumed), args.end(), is_help)) {
+    std::fputs(detailed(tool, *command).c_str(), stdout);
+    return 0;
+  }
   const bool named = command != nullptr && !command->path.empty();
   const std::string name = named ? tool + " " + command->path : tool;
   try {

@@ -6,10 +6,9 @@
 // event on the hottest path in the repo.  InlineFn embeds up to
 // kInlineBytes of capture state directly in the event record (a union of
 // inline storage and a heap pointer, discriminated by the per-type ops
-// table), so the simulator's real callbacks — `this` plus a few scalars,
-// or `this` + generation counter + a completion std::function — never
-// touch the allocator.  Truly large captures still work: they take the
-// heap branch, which is the rare case the slab design budgets for.
+// table), so the simulator's real callbacks — `this` plus a few scalars
+// or one packet — never touch the allocator.  Larger captures still
+// work: they take the heap branch.
 //
 // Move-only by design: events are scheduled once and dispatched once, so
 // copyability would only invite accidental capture duplication.  Moving
@@ -28,9 +27,9 @@ namespace drowsy::util {
 class InlineFn {
  public:
   /// Inline capacity.  64 bytes covers every scheduling site in src/
-  /// today (the largest is Host::begin_suspend's {this, gen, cb} at
-  /// 8 + 8 + sizeof(std::function) = 48); captures beyond it fall back
-  /// to one heap allocation, preserving correctness.
+  /// today (the largest carry one net::Packet and a pointer: 8 + 40 = 48
+  /// bytes); captures beyond it fall back to one heap allocation,
+  /// preserving correctness.
   static constexpr std::size_t kInlineBytes = 64;
 
   InlineFn() = default;

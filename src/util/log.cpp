@@ -3,14 +3,12 @@
 #include <atomic>
 #include <ctime>
 #include <mutex>
-#include <utility>
 
 namespace drowsy::util {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::Warn};
-std::mutex g_sink_mutex;
-LogSink g_sink;  // empty = default stderr sink; guarded by g_sink_mutex
+std::mutex g_write_mutex;  // one whole line per message on stderr
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -23,10 +21,17 @@ const char* level_name(LogLevel level) {
   }
   return "?";
 }
+}  // namespace
 
-/// UTC wall-clock stamp ("2026-08-08T12:00:00Z") so interleaved daemon
-/// logs from different machines line up without timezone archaeology.
-void default_sink(LogLevel level, const char* component, const std::string& message) {
+void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
+
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
+
+/// The UTC wall-clock stamp ("2026-08-08T12:00:00Z") lets interleaved
+/// daemon logs from different machines line up without timezone
+/// archaeology.
+void log_message(LogLevel level, const char* component, const std::string& message) {
+  std::lock_guard lock(g_write_mutex);
   char stamp[32] = "";
   const std::time_t now = std::time(nullptr);
   std::tm tm_utc{};
@@ -35,25 +40,6 @@ void default_sink(LogLevel level, const char* component, const std::string& mess
   }
   std::fprintf(stderr, "%s [%-5s] %-12s %s\n", stamp, level_name(level), component,
                message.c_str());
-}
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
-void set_log_sink(LogSink sink) {
-  std::lock_guard lock(g_sink_mutex);
-  g_sink = std::move(sink);
-}
-
-void log_message(LogLevel level, const char* component, const std::string& message) {
-  std::lock_guard lock(g_sink_mutex);
-  if (g_sink) {
-    g_sink(level, component, message);
-  } else {
-    default_sink(level, component, message);
-  }
 }
 
 }  // namespace drowsy::util

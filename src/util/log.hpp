@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -15,18 +14,10 @@ enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off =
 void set_log_level(LogLevel level);
 [[nodiscard]] LogLevel log_level();
 
-/// Where log lines go.  Receives only messages that passed the level
-/// gate; called under an internal mutex, so sinks need no locking of
-/// their own (and must not log re-entrantly).
-using LogSink = std::function<void(LogLevel, const char* component,
-                                   const std::string& message)>;
-
-/// Replace the sink (tests capture lines; daemons ship them to a file).
-/// An empty function restores the default: one timestamped line per
-/// message to stderr, "2026-08-08T12:00:00Z [WARN ] component message".
-void set_log_sink(LogSink sink);
-
 /// printf-style logging entry point.  Prefer the LOG_* macros below.
+/// Writes one timestamped line per message to stderr,
+/// "2026-08-08T12:00:00Z [WARN ] component message", under a mutex so
+/// lines from concurrent sweep workers never interleave.
 void log_message(LogLevel level, const char* component, const std::string& message);
 
 namespace detail {

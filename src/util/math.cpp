@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 namespace drowsy::util {
 
@@ -100,8 +102,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
-double l2_norm(std::span<const double> v) { return std::sqrt(dot(v, v)); }
-
 void project_to_simplex(std::span<double> v) {
   // Sort a copy descending, find the largest k such that
   // u_k + (1 - sum_{i<=k} u_i)/k > 0, then shift and clip.
@@ -120,29 +120,6 @@ void project_to_simplex(std::span<double> v) {
   }
   (void)k;
   for (auto& x : v) x = std::max(x - theta, 0.0);
-}
-
-DescentResult steepest_descent(
-    std::span<const double> x0,
-    const std::function<double(std::span<const double>)>& f,
-    const std::function<void(std::span<const double>, std::span<double>)>& grad,
-    const DescentOptions& opts) {
-  DescentResult result;
-  result.x.assign(x0.begin(), x0.end());
-  std::vector<double> g(x0.size(), 0.0);
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    grad(result.x, g);
-    const double gnorm = l2_norm(g);
-    result.iterations = it;
-    if (gnorm < opts.gradient_tolerance) {
-      result.converged = true;
-      break;
-    }
-    for (std::size_t i = 0; i < g.size(); ++i) result.x[i] -= opts.learning_rate * g[i];
-    if (opts.project) opts.project(result.x);
-  }
-  result.value = f(result.x);
-  return result;
 }
 
 }  // namespace drowsy::util

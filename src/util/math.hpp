@@ -1,13 +1,11 @@
 // Small numeric helpers shared across the library: the logistic damping
-// used by the idleness-model update (paper eq. 4), simplex projection for
-// the learned time-scale weights, and a generic steepest-descent optimizer
-// (paper §III-C uses steepest descent to learn the weights).
+// used by the idleness-model update (paper eq. 4), the dot product and
+// simplex projection behind the learned time-scale weights (paper §III-C;
+// IdlenessModel::learn_weights takes its own gradient steps), and the
+// Student-t distribution used for study confidence intervals.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <span>
-#include <vector>
 
 namespace drowsy::util {
 
@@ -22,9 +20,6 @@ namespace drowsy::util {
 
 /// Dot product of two equally-sized vectors.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean (L2) norm.
-[[nodiscard]] double l2_norm(std::span<const double> v);
 
 /// Project v in place onto the probability simplex
 /// { w : w_i >= 0, sum w_i = 1 } (Duchi et al. 2008, O(n log n)).
@@ -43,32 +38,5 @@ void project_to_simplex(std::span<double> v);
 /// (e.g. p = 0.05 gives the 97.5th percentile).  Solved by bisection;
 /// plenty for confidence intervals over replicate counts.
 [[nodiscard]] double students_t_critical(double p, double df);
-
-/// Result of a gradient-descent run.
-struct DescentResult {
-  std::vector<double> x;    ///< final iterate
-  double value = 0.0;       ///< objective at the final iterate
-  std::size_t iterations = 0;
-  bool converged = false;   ///< gradient norm fell below tolerance
-};
-
-/// Options for steepest_descent.
-struct DescentOptions {
-  double learning_rate = 0.05;
-  std::size_t max_iterations = 32;
-  double gradient_tolerance = 1e-12;
-  /// Optional projection applied after every step (e.g. simplex).
-  std::function<void(std::span<double>)> project;
-};
-
-/// Minimize `f` by steepest descent from `x0`.  `grad(x, g)` must write the
-/// gradient of f at x into g.  Deliberately simple and allocation-light:
-/// the idleness model runs one of these per VM per hour (paper §III-C),
-/// so "its precision can be set to not incur any overhead".
-[[nodiscard]] DescentResult steepest_descent(
-    std::span<const double> x0,
-    const std::function<double(std::span<const double>)>& f,
-    const std::function<void(std::span<const double>, std::span<double>)>& grad,
-    const DescentOptions& opts = {});
 
 }  // namespace drowsy::util

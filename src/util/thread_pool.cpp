@@ -30,11 +30,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -47,14 +42,8 @@ void ThreadPool::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop();
-      ++in_flight_;
     }
     task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
@@ -64,8 +53,8 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   const std::size_t workers = pool.thread_count();
   const std::size_t chunks = std::min(n, workers * 4);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<std::size_t> done{0};
   std::atomic<bool> failed{false};
+  std::size_t done = 0;            // guarded by m
   std::exception_ptr first_error;  // guarded by m
   std::mutex m;
   std::condition_variable cv;
@@ -84,15 +73,17 @@ void parallel_for(ThreadPool& pool, std::size_t n,
         if (!first_error) first_error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
       }
-      {
-        std::lock_guard lock(m);
-        ++done;
-      }
+      // Notify while still holding m.  Once m is released the caller may
+      // see the final count (it can wake on an earlier chunk's notify),
+      // return and destroy the stack-local cv and m before this worker
+      // would touch cv.
+      std::lock_guard lock(m);
+      ++done;
       cv.notify_one();
     });
   }
   std::unique_lock lock(m);
-  cv.wait(lock, [&] { return done.load() == issued; });
+  cv.wait(lock, [&] { return done == issued; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

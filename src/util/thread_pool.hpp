@@ -1,10 +1,8 @@
 // A small work-stealing-free thread pool with a parallel_for helper.
 //
-// Drowsy-DC's per-host model builder updates one idleness model per VM per
-// hour; updates are independent, so the builder fans them out across the
-// pool (the paper stresses that model maintenance must not add overhead to
-// the consolidation system).  Benchmark sweeps also use parallel_for to run
-// independent configurations concurrently.
+// Sweeps fan independent (scenario, policy, seed) runs out across the
+// pool with parallel_for (scenario::BatchRunner), and multi-panel studies
+// run their panels concurrently on the default pool.
 #pragma once
 
 #include <condition_variable>
@@ -34,9 +32,6 @@ class ThreadPool {
   /// (use parallel_for, which captures and rethrows, for throwing work).
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
-  void wait_idle();
-
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
  private:
@@ -46,8 +41,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

@@ -197,15 +197,4 @@ TEST_F(SuspendFixture, PeriodicChecksThroughEventQueue) {
   q.run_until(u::minutes(2));
   EXPECT_GE(module.stats().checks, 1u);
   EXPECT_EQ(host->state(), s::PowerState::S3) << "idle host suspended by periodic check";
-  module.stop();
-}
-
-TEST_F(SuspendFixture, StopCancelsChecks) {
-  c::SuspendConfig cfg;
-  cfg.check_interval = u::seconds(30);
-  auto module = make_module(cfg);
-  module.start();
-  module.stop();
-  q.run_until(u::minutes(5));
-  EXPECT_EQ(module.stats().suspends, 0u);
 }

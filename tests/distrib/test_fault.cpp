@@ -61,11 +61,9 @@ TEST_F(FaultFixture, TriggeredFiresOnExactlyTheNthHit) {
   EXPECT_TRUE(fault::triggered("journal.after_append"));
   // One-shot semantics: the 4th hit is past the armed count.
   EXPECT_FALSE(fault::triggered("journal.after_append"));
-  EXPECT_EQ(fault::hits("journal.after_append"), 4u);
-  // Unarmed points count hits but never fire.
+  // Unarmed and unknown points never fire.
   EXPECT_FALSE(fault::triggered("daemon.after_claim"));
-  EXPECT_EQ(fault::hits("daemon.after_claim"), 1u);
-  EXPECT_THROW(static_cast<void>(fault::hits("no.such.point")), dt::DistribError);
+  EXPECT_FALSE(fault::triggered("no.such.point"));
 }
 
 TEST_F(FaultFixture, ReArmingReplacesThePreviousPoint) {

@@ -38,13 +38,16 @@ struct Testbed {
     auto llmu2 = t::llmu_constant(o);
     add("V1", llmu1);
     add("V2", llmu2);
-    const auto week = t::nutanix_week();
-    add("V3", week[0].extended_to(u::kHoursPerYear));
-    add("V4", week[0].extended_to(u::kHoursPerYear));  // same workload as V3
-    add("V5", week[1].extended_to(u::kHoursPerYear));
-    add("V6", week[2].extended_to(u::kHoursPerYear));
-    add("V7", week[3].extended_to(u::kHoursPerYear));
-    add("V8", week[4].extended_to(u::kHoursPerYear));
+    // The five Fig. 1 production workloads over one noiseless year.
+    t::GenOptions year;
+    year.years = 1;
+    const auto real_trace = [&year](std::size_t v) { return t::nutanix_like(v, year); };
+    add("V3", real_trace(0));
+    add("V4", real_trace(0));  // same workload as V3
+    add("V5", real_trace(1));
+    add("V6", real_trace(2));
+    add("V7", real_trace(3));
+    add("V8", real_trace(4));
     // Initial placement: interleaved so consolidation has work to do.
     for (s::VmId id = 0; id < 8; ++id) cluster.place(id, id % 4);
   }
@@ -220,6 +223,6 @@ TEST(EndToEnd, SlaHoldsUnderDrowsyDc) {
   // Paper: >99% of requests within 200 ms; wake-ups cost ≈0.8–1.5 s.
   EXPECT_GT(stats.sla_attainment(200.0), 0.95);
   if (!stats.wake_latencies_ms.empty()) {
-    EXPECT_LT(stats.wake_latencies_ms.max(), 10'000.0);
+    EXPECT_LT(stats.wake_latencies_ms.quantile(1.0), 10'000.0);
   }
 }

@@ -51,15 +51,6 @@ TEST(ProcessTable, FindAndState) {
   EXPECT_EQ(t.find(9999), nullptr);
 }
 
-TEST(ProcessTable, Reap) {
-  k::ProcessTable t;
-  const k::Pid pid = t.spawn("gone");
-  EXPECT_TRUE(t.reap(pid));
-  EXPECT_FALSE(t.reap(pid));
-  EXPECT_EQ(t.find(pid), nullptr);
-  EXPECT_EQ(t.size(), 0u);
-}
-
 TEST(ProcessTable, CountIf) {
   k::ProcessTable t;
   t.spawn("a", k::ProcState::Running);
@@ -79,11 +70,4 @@ TEST(ProcessTable, ForEachVisitsAll) {
   int visits = 0;
   t.for_each([&visits](const k::Process&) { ++visits; });
   EXPECT_EQ(visits, 2);
-}
-
-TEST(ProcState, ToString) {
-  EXPECT_STREQ(k::to_string(k::ProcState::Running), "running");
-  EXPECT_STREQ(k::to_string(k::ProcState::Sleeping), "sleeping");
-  EXPECT_STREQ(k::to_string(k::ProcState::BlockedIo), "blocked-io");
-  EXPECT_STREQ(k::to_string(k::ProcState::Zombie), "zombie");
 }

@@ -40,7 +40,6 @@ TEST(RbTree, EmptyTree) {
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.first(), nullptr);
-  EXPECT_EQ(tree.last(), nullptr);
   EXPECT_EQ(tree.validate(), 0);
 }
 
@@ -50,9 +49,7 @@ TEST(RbTree, SingleInsert) {
   insert_item(tree, a);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.first(), &a.node);
-  EXPECT_EQ(tree.last(), &a.node);
   EXPECT_GT(tree.validate(), 0);
-  EXPECT_EQ(tree.root(), &a.node);
 }
 
 TEST(RbTree, InOrderTraversalSorted) {
@@ -65,20 +62,6 @@ TEST(RbTree, InOrderTraversalSorted) {
   }
   EXPECT_EQ(in_order_keys(tree), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
   EXPECT_GT(tree.validate(), 0);
-}
-
-TEST(RbTree, ReverseTraversal) {
-  k::RbTree tree;
-  std::vector<std::unique_ptr<Item>> items;
-  for (int key : {3, 1, 2}) {
-    items.push_back(std::make_unique<Item>(Item{key}));
-    insert_item(tree, *items.back());
-  }
-  std::vector<int> keys;
-  for (k::RbNode* n = tree.last(); n != nullptr; n = k::RbTree::prev(n)) {
-    keys.push_back(k::rb_entry<Item, &Item::node>(n)->key);
-  }
-  EXPECT_EQ(keys, (std::vector<int>{3, 2, 1}));
 }
 
 TEST(RbTree, EraseLeaf) {

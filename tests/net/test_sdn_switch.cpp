@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "immediate_dispatcher.hpp"
+
 namespace n = drowsy::net;
 
 namespace {
@@ -112,12 +114,14 @@ TEST_F(SwitchFixture, AnalyzersRunInInstallationOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_F(SwitchFixture, DetachPortDropsFrames) {
-  sw.bind_ip(vm_ip, mac_a);
-  sw.detach_port(mac_a);
+TEST_F(SwitchFixture, FramesToAMacWithoutAPortAreDropped) {
+  sw.bind_ip(vm_ip, n::MacAddress::for_host(7));
   n::Packet p;
   p.dst = vm_ip;
   EXPECT_FALSE(sw.inject(p));
+  EXPECT_EQ(sw.dropped_count(), 1u);
+  EXPECT_TRUE(received_a.empty());
+  EXPECT_TRUE(received_b.empty());
 }
 
 TEST_F(SwitchFixture, LookupIp) {
@@ -125,6 +129,4 @@ TEST_F(SwitchFixture, LookupIp) {
   sw.bind_ip(vm_ip, mac_a);
   ASSERT_NE(sw.lookup_ip(vm_ip), nullptr);
   EXPECT_EQ(*sw.lookup_ip(vm_ip), mac_a);
-  sw.unbind_ip(vm_ip);
-  EXPECT_EQ(sw.lookup_ip(vm_ip), nullptr);
 }

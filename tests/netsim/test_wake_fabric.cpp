@@ -49,7 +49,6 @@ TEST(WakeFabric, NicOutageIsDetectedDroppedAndHealed) {
   EXPECT_LE(run->net->host_unreachable_s(), six_hours);
 
   // After the first post-recovery beat the host is placeable again.
-  EXPECT_FALSE(run->net->unreachable(1));
   EXPECT_TRUE(run->cluster.host(1)->reachable());
 
   // harvest() surfaces the same number on the RunResult.  The packed
@@ -69,7 +68,6 @@ TEST(WakeFabric, UnreachableHostIsExcludedFromPlacementWhileDown) {
   run->controller->run_hours(9, [fabric = run->net.get()](std::int64_t h) {
     fabric->on_hour_end(h);
   });
-  EXPECT_TRUE(run->net->unreachable(1));
   EXPECT_FALSE(run->cluster.host(1)->reachable());
   EXPECT_FALSE(
       run->cluster.host(1)->can_host(drowsy::sim::VmSpec{"probe", 1, 1024}));

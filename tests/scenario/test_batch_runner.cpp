@@ -81,8 +81,6 @@ TEST(BatchRunner, FixedSeedIsIdenticalAtOneAndManyThreads) {
   const auto a = serial.run(jobs);
   const auto b = wide.run(jobs);
   EXPECT_EQ(sc::to_csv(a), sc::to_csv(b));
-  EXPECT_EQ(sc::to_json(a), sc::to_json(b));
-  EXPECT_EQ(sc::to_csv(sc::aggregate(a)), sc::to_csv(sc::aggregate(b)));
   // And re-running the same pool reproduces itself.
   const auto c = wide.run(jobs);
   EXPECT_EQ(sc::to_csv(b), sc::to_csv(c));
@@ -129,7 +127,7 @@ TEST(BatchRunner, InvalidSpecInBatchRethrowsOnCaller) {
   EXPECT_THROW(static_cast<void>(runner.run(jobs)), std::invalid_argument);
 }
 
-TEST(BatchRunner, CsvAndJsonAreWellFormed) {
+TEST(BatchRunner, RunsCsvIsWellFormed) {
   sc::BatchRunner runner(2);
   const auto results =
       runner.run(sc::cross({tiny_scenario("emit", 51)}, {sc::Policy::DrowsyDc}, 2));
@@ -138,16 +136,4 @@ TEST(BatchRunner, CsvAndJsonAreWellFormed) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
   EXPECT_EQ(csv.rfind("scenario,policy,seed,", 0), 0u);
   EXPECT_NE(csv.find("emit,drowsy-dc,"), std::string::npos);
-
-  const std::string json = sc::to_json(results);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"scenario\": \"emit\""), std::string::npos);
-  EXPECT_NE(json.find("\"kwh\": "), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-
-  const auto rows = sc::aggregate(results);
-  EXPECT_NE(sc::to_csv(rows).find("kwh_mean"), std::string::npos);
-  EXPECT_NE(sc::to_json(rows).find("\"runs\": 2"), std::string::npos);
-  EXPECT_NE(sc::aggregate_table(rows).find("emit"), std::string::npos);
 }

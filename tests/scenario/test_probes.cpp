@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "expctl/json.hpp"
+#include "expctl/runs_io.hpp"
 #include "scenario/batch_runner.hpp"
 
 namespace ec = drowsy::expctl;
@@ -104,7 +105,7 @@ TEST(Probes, TimelineTraceIsByteIdenticalAtOneAndFourThreads) {
   // Each file is a loadable Chrome trace with at least one power event.
   for (const auto& [name, bytes] : files1) {
     const ec::Json doc = ec::Json::parse(bytes);
-    EXPECT_GT(doc.at("traceEvents").size(), 0u) << name;
+    EXPECT_GT(doc.at("traceEvents").elements().size(), 0u) << name;
     EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms") << name;
   }
   fs::remove_all(fs::temp_directory_path() / "drowsy_probe_test");
@@ -125,7 +126,7 @@ TEST(Probes, ObservationNeverPerturbsTheSimulation) {
       sc::run_one(spec, sc::Policy::DrowsyDc, spec.seed, nullptr, &probe);
 
   EXPECT_EQ(sc::to_csv({bare}), sc::to_csv({observed}));
-  EXPECT_EQ(sc::to_json({bare}), sc::to_json({observed}));
+  EXPECT_EQ(ec::to_json(bare).dump(), ec::to_json(observed).dump());
 
   // The composite probe delivered both halves: a trace file on disk and
   // a non-empty profile with the expected event classes.

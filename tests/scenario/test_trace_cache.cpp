@@ -73,7 +73,6 @@ TEST(TraceCache, HitsOnRepeatAndPinnedSeedNormalization) {
   // Different fallback seed is a distinct trace.
   EXPECT_NE(cache.get(spec, 8).get(), first.get());
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TraceCache, DistinguishesEveryKnob) {
@@ -86,7 +85,7 @@ TEST(TraceCache, DistinguishesEveryKnob) {
   static_cast<void>(cache.get(variant, 1));
   variant.hour = 3;
   static_cast<void>(cache.get(variant, 1));
-  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.misses(), 3u) << "each knob is its own entry";
   EXPECT_EQ(cache.hits(), 0u);
 }
 
@@ -175,10 +174,10 @@ TEST(TraceCache, ConcurrentGetsAgree) {
     threads.emplace_back([&, t] { results[t] = cache.get(spec, 5); });
   }
   for (auto& thread : threads) thread.join();
-  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u) << "one entry, whoever built it";
   for (const auto& r : results) {
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->hours(), results[0]->hours());
+    EXPECT_EQ(r.get(), results[0].get());
   }
   EXPECT_EQ(cache.hits() + cache.misses(), 8u);
 }

@@ -29,13 +29,11 @@ TEST_F(HostFixture, StartsAwake) {
 }
 
 TEST_F(HostFixture, SuspendTakesSuspendLatency) {
-  bool suspended = false;
-  EXPECT_TRUE(host.begin_suspend([&] { suspended = true; }));
+  EXPECT_TRUE(host.begin_suspend());
   EXPECT_EQ(host.state(), s::PowerState::Suspending);
   q.run_until(model.suspend_latency - 1);
-  EXPECT_FALSE(suspended);
+  EXPECT_EQ(host.state(), s::PowerState::Suspending);
   q.run_until(model.suspend_latency);
-  EXPECT_TRUE(suspended);
   EXPECT_EQ(host.state(), s::PowerState::S3);
   EXPECT_EQ(host.suspend_count(), 1);
 }
@@ -51,15 +49,15 @@ TEST_F(HostFixture, ResumeTakesNaiveLatency) {
   host.begin_suspend();
   q.run_all();
   ASSERT_EQ(host.state(), s::PowerState::S3);
-  bool resumed = false;
-  EXPECT_TRUE(host.begin_resume([&] { resumed = true; }));
+  EXPECT_TRUE(host.begin_resume());
   EXPECT_EQ(host.state(), s::PowerState::Resuming);
-  q.run_all();
-  EXPECT_TRUE(resumed);
+  const u::SimTime done = model.suspend_latency + model.resume_latency;
+  q.run_until(done - 1);
+  EXPECT_EQ(host.state(), s::PowerState::Resuming);
+  q.run_until(done);
   EXPECT_EQ(host.state(), s::PowerState::S0);
   EXPECT_EQ(host.resume_count(), 1);
-  EXPECT_EQ(host.last_resume_at(),
-            model.suspend_latency + model.resume_latency);
+  EXPECT_EQ(host.last_resume_at(), done);
 }
 
 TEST_F(HostFixture, QuickResumeIsFaster) {
@@ -77,11 +75,12 @@ TEST_F(HostFixture, ResumeWhileSuspendingQueues) {
   // must finish the suspend, then immediately resume.
   host.begin_suspend();
   EXPECT_EQ(host.state(), s::PowerState::Suspending);
-  bool resumed = false;
-  EXPECT_TRUE(host.begin_resume([&] { resumed = true; }));
+  EXPECT_TRUE(host.begin_resume());
+  q.run_until(model.suspend_latency);
+  EXPECT_EQ(host.state(), s::PowerState::Resuming) << "suspend finished, resume began";
   q.run_all();
-  EXPECT_TRUE(resumed);
   EXPECT_EQ(host.state(), s::PowerState::S0);
+  EXPECT_EQ(host.last_resume_at(), model.suspend_latency + model.resume_latency);
   EXPECT_EQ(host.suspend_count(), 1);
   EXPECT_EQ(host.resume_count(), 1);
 }
@@ -93,12 +92,15 @@ TEST_F(HostFixture, ResumeWhenAwakeFails) {
 TEST_F(HostFixture, DoubleResumeSharesOneTransition) {
   host.begin_suspend();
   q.run_all();
-  int callbacks = 0;
-  host.begin_resume([&] { ++callbacks; });
-  host.begin_resume([&] { ++callbacks; });
+  int awake = 0;
+  EXPECT_TRUE(host.begin_resume());
+  host.when_awake([&] { ++awake; });
+  EXPECT_TRUE(host.begin_resume());
+  host.when_awake([&] { ++awake; });
   q.run_all();
-  EXPECT_EQ(callbacks, 2);
+  EXPECT_EQ(awake, 2);
   EXPECT_EQ(host.resume_count(), 1);
+  EXPECT_EQ(host.last_resume_at(), model.suspend_latency + model.resume_latency);
 }
 
 TEST_F(HostFixture, WhenAwakeImmediateWhenS0) {

@@ -199,6 +199,23 @@ TEST(Flags, DispatchMapsOutcomesToExitCodes) {
             std::string::npos);
   EXPECT_EQ(dispatch({"ok", "--threads", "3"}), 7);
   EXPECT_EQ(threads, 3u);
+  // Subcommand help: that command's detailed usage, exit 0, no handler run.
+  seen = 0;
+  for (const std::vector<std::string>& help :
+       {std::vector<std::string>{"ok", "--help"}, {"ok", "-h"}, {"ok", "--threads", "2", "-h"},
+        {"fail", "--help"}}) {
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(dispatch(help), 0) << help.back();
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out.find("tool " + help.front()), 0u) << out;
+    EXPECT_EQ(out.find(help.front() == "ok" ? "tool fail" : "tool ok"), std::string::npos)
+        << "only the named command: " << out;
+  }
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(dispatch({"ok", "--help"}), 0);
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("    --threads N             t\n"),
+            std::string::npos);
+  EXPECT_EQ(seen, 0);
   testing::internal::CaptureStderr();
   EXPECT_EQ(dispatch({"ok", "--threads", "3x"}), 2);
   EXPECT_EQ(dispatch({"nope"}), 2);
