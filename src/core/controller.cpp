@@ -60,9 +60,22 @@ void Controller::install() {
       raw->on_host_wake();
       waking_primary_->on_host_resumed(*h);
     });
-    module->start();
     suspend_modules_.push_back(std::move(module));
   }
+  if (options_.drowsy.suspend.enabled) schedule_suspend_tick();
+}
+
+void Controller::schedule_suspend_tick() {
+  // Each tick schedules the next after visiting every host: an event at the
+  // next tick's instant runs before it exactly when it was scheduled before
+  // this visit (docs/architecture.md, "Suspend decisions on change").
+  cluster_.queue().schedule_after(
+      options_.drowsy.suspend.check_interval,
+      [this] {
+        for (const auto& module : suspend_modules_) module->tick();
+        schedule_suspend_tick();
+      },
+      obs::EventTag::SuspendCheck);
 }
 
 void Controller::place_all_unplaced() {

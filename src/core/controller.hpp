@@ -9,7 +9,7 @@
 //
 //   hour start:  reflect traces into guest run-states, schedule requests,
 //                arm the guest-timer pump;
-//   during hour: suspend checks, wakes, timer firings on the event queue;
+//   during hour: suspend-check ticks, wakes, timer firings on the event queue;
 //   hour end:    account quanta ledgers, update idleness models, run the
 //                consolidation policy for the next hour.
 #pragma once
@@ -51,6 +51,10 @@ class Controller {
   [[nodiscard]] sim::RequestFabric& fabric() { return fabric_; }
   [[nodiscard]] WakingModule& waking_primary() { return *waking_primary_; }
   [[nodiscard]] WakingModule& waking_standby() { return *waking_standby_; }
+  /// Host `id`'s suspending module; valid after install().
+  [[nodiscard]] const SuspendModule& suspend_module(sim::HostId id) const {
+    return *suspend_modules_.at(id);
+  }
 
   /// Crash simulation: kill the primary waking module.  The standby is
   /// promoted at the instant its heartbeat checks would miss the
@@ -76,6 +80,9 @@ class Controller {
                  const std::function<void(std::int64_t)>& on_hour_end = {});
 
  private:
+  /// One SuspendCheck event per check-grid instant t0 + k * interval
+  /// (t0 = install time) that ticks every host's module in host order.
+  void schedule_suspend_tick();
   void refresh_runstates(std::int64_t hour);
   void pump_guest_timers(sim::HostId id, std::int64_t hour);
 

@@ -93,7 +93,8 @@ void IdlenessModel::learn_weights(const std::array<double, kScaleCount>& si_befo
   // so the optimally-stepped descent direction has the closed form
   // Δw = e·SI / |SI|² with e = IP' − wᵀ·SI; a fixed learning rate would
   // either stall (SI magnitudes are ~σ = 1/8760) or diverge, whereas the
-  // line-searched step is scale-free (see DESIGN.md §2).  The damping
+  // line-searched step is scale-free: it lands on the wᵀ·SI = IP'
+  // hyperplane whatever the magnitude of SI.  The damping
   // factor and iteration count set the "precision" knob the paper says
   // "can be set to not incur any overhead"; each step is followed by the
   // simplex projection that keeps IP a convex combination of SI scores.

@@ -16,37 +16,19 @@ constexpr util::SimTime kMinWorthwhileSleep = util::seconds(30);
 }  // namespace
 
 SuspendModule::SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilder& models,
-                             SuspendConfig config, kern::Blacklist blacklist)
-    : host_(host),
-      cluster_(cluster),
-      models_(models),
-      config_(config),
-      blacklist_(std::move(blacklist)) {}
+                             SuspendConfig config)
+    : host_(host), cluster_(cluster), models_(models), config_(config) {}
 
-void SuspendModule::start() {
-  if (running_ || !config_.enabled) return;
-  running_ = true;
-  schedule_next();
-}
+bool SuspendModule::host_idle() const { return guest_blocker() == nullptr; }
 
-void SuspendModule::schedule_next() {
-  cluster_.queue().schedule_after(
-      config_.check_interval,
-      [this] {
-        check();
-        schedule_next();
-      },
-      obs::EventTag::SuspendCheck);
-}
-
-bool SuspendModule::host_idle() const {
+SuspendModule::Outcome SuspendModule::guest_blocker() const {
   for (const sim::Vm* vm : host_.vms()) {
     const kern::GuestOs& guest = vm->guest();
-    if (guest.any_relevant_running(blacklist_)) return false;
-    if (guest.any_blocked_on_io()) return false;
-    if (guest.total_open_sessions() > 0) return false;
+    if (guest.any_relevant_running(blacklist_)) return &SuspendStats::blocked_by_running;
+    if (guest.any_blocked_on_io()) return &SuspendStats::blocked_by_io;
+    if (guest.total_open_sessions() > 0) return &SuspendStats::blocked_by_sessions;
   }
-  return true;
+  return nullptr;
 }
 
 util::SimTime SuspendModule::compute_wake_date() const {
@@ -76,54 +58,61 @@ void SuspendModule::on_host_wake() {
   if (!config_.use_grace_time) return;
   const util::CalendarTime c = util::calendar_of(cluster_.queue().now());
   grace_until_ = cluster_.queue().now() + grace_duration(c);
+  decided_ = false;  // the grace window is an input too
+}
+
+SuspendModule::InputKey SuspendModule::input_key() const {
+  InputKey key{host_.epoch(), 0};
+  for (const sim::Vm* vm : host_.vms()) key.guests += vm->guest().epoch();
+  return key;
+}
+
+void SuspendModule::tick() {
+  const InputKey key = input_key();
+  const bool grace_ended =
+      last_ == &SuspendStats::blocked_by_grace && cluster_.queue().now() >= grace_until_;
+  if (!decided_ || key != last_key_ || grace_ended) {
+    check();
+  } else {
+    tally(last_);
+  }
 }
 
 void SuspendModule::check() {
+  last_key_ = input_key();
+  last_ = decide();
+  decided_ = true;
+  tally(last_);
+}
+
+void SuspendModule::tally(Outcome outcome) {
   ++stats_.checks;
-  if (!config_.enabled || host_.state() != sim::PowerState::S0) return;
+  if (outcome != nullptr) ++(stats_.*outcome);
+}
+
+SuspendModule::Outcome SuspendModule::decide() {
+  if (!config_.enabled || host_.state() != sim::PowerState::S0) return nullptr;
   // A heartbeat-partitioned host must stay up: its NIC could not deliver
   // the WoL frame that would ever bring it back from S3.
-  if (!host_.reachable()) return;
-  if (config_.only_empty_hosts && !host_.vms().empty()) {
-    ++stats_.blocked_by_running;
-    return;
-  }
+  if (!host_.reachable()) return nullptr;
+  if (config_.only_empty_hosts && !host_.vms().empty()) return &SuspendStats::blocked_by_running;
   const util::SimTime now = cluster_.queue().now();
-  if (config_.use_grace_time && now < grace_until_) {
-    ++stats_.blocked_by_grace;
-    return;
-  }
+  if (config_.use_grace_time && now < grace_until_) return &SuspendStats::blocked_by_grace;
 
-  // The idleness decision, with attribution for the statistics.
-  for (const sim::Vm* vm : host_.vms()) {
-    const kern::GuestOs& guest = vm->guest();
-    if (guest.any_relevant_running(blacklist_)) {
-      ++stats_.blocked_by_running;
-      return;
-    }
-    if (guest.any_blocked_on_io()) {
-      ++stats_.blocked_by_io;
-      return;
-    }
-    if (guest.total_open_sessions() > 0) {
-      ++stats_.blocked_by_sessions;
-      return;
-    }
-  }
+  if (const Outcome blocker = guest_blocker()) return blocker;
 
   const util::SimTime wake_date = compute_wake_date();
   if (wake_date != util::kNever &&
       wake_date - now < kMinWorthwhileSleep + host_.power_model().suspend_latency) {
-    ++stats_.blocked_by_imminent_timer;
-    return;
+    return &SuspendStats::blocked_by_imminent_timer;
   }
 
-  ++stats_.suspends;
   DROWSY_LOG_DEBUG("suspend", "%s suspending; wake date %s", host_.name().c_str(),
                    wake_date == util::kNever ? "none"
                                              : util::format_duration(wake_date).c_str());
   if (waking_ != nullptr) waking_->on_host_suspending(host_, wake_date);
   host_.begin_suspend();
+  return &SuspendStats::suspends;
 }
 
 }  // namespace drowsy::core

@@ -13,6 +13,11 @@
 // Before suspending, the module walks every guest's hrtimer tree for the
 // earliest timer owned by a non-blacklisted process — the *waking date* —
 // and registers it with the waking module.
+//
+// Decisions are taken on the check grid, but only re-computed when an
+// input changed: the Controller calls tick() once per grid instant, and a
+// host whose (host epoch, Σ resident guest epochs) key is unchanged since
+// its last decision repeats that decision's outcome (see tick()).
 #pragma once
 
 #include <cstdint>
@@ -40,14 +45,10 @@ struct SuspendStats {
 class SuspendModule {
  public:
   SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilder& models,
-                SuspendConfig config, kern::Blacklist blacklist = kern::Blacklist::standard());
+                SuspendConfig config);
 
   /// Attach the waking module(s) to notify before suspending.
   void set_waking_module(WakingModule* waking) { waking_ = waking; }
-
-  /// Begin periodic checks on the cluster's event queue; they run for the
-  /// rest of the simulation.
-  void start();
 
   /// The idleness decision, exposed for tests: true when nothing relevant
   /// runs, nothing waits on I/O and no session is open on any resident VM.
@@ -67,20 +68,48 @@ class SuspendModule {
   /// Run one idleness check right now (also used by benches).
   void check();
 
+  /// One check-grid instant.  Re-runs check() when the host's inputs
+  /// changed since the last decision, when its grace window has ended, or
+  /// when there is no decision to repeat; otherwise counts the last
+  /// outcome again.  Repeating is exact: every outcome but the grace one
+  /// holds until an input changes (an imminent timer only gets nearer
+  /// until it fires or is re-armed, both of which change the key).
+  void tick();
+
   [[nodiscard]] const SuspendStats& stats() const { return stats_; }
   [[nodiscard]] util::SimTime grace_until() const { return grace_until_; }
 
  private:
-  void schedule_next();
+  /// A decision's outcome is the SuspendStats counter it increments;
+  /// nullptr counts in `checks` only (disabled, not in S0, unreachable).
+  /// A suspend is never repeated: leaving S0 bumps the host epoch.
+  using Outcome = std::uint64_t SuspendStats::*;
+  /// The exact inputs of a decision: membership changes bump the host
+  /// epoch and guest epochs never decrease, so the pair differs whenever
+  /// anything check() reads has changed.
+  struct InputKey {
+    std::uint64_t host = 0;
+    std::uint64_t guests = 0;
+    bool operator==(const InputKey&) const = default;
+  };
+
+  [[nodiscard]] InputKey input_key() const;
+  /// The idleness decision, with attribution for the statistics: the
+  /// first resident guest's blocker (running, I/O, session), or nullptr.
+  [[nodiscard]] Outcome guest_blocker() const;
+  Outcome decide();
+  void tally(Outcome outcome);
 
   sim::Host& host_;
   sim::Cluster& cluster_;
   ModelBuilder& models_;
   SuspendConfig config_;
-  kern::Blacklist blacklist_;
+  kern::Blacklist blacklist_ = kern::Blacklist::standard();
   WakingModule* waking_ = nullptr;
-  bool running_ = false;
   util::SimTime grace_until_ = 0;
+  bool decided_ = false;  ///< false: nothing to repeat
+  Outcome last_ = nullptr;
+  InputKey last_key_;
   SuspendStats stats_;
 };
 

@@ -73,18 +73,6 @@ void GuestOs::record_hour(double activity, double noise_floor,
   last_hour_ = ledger;
 }
 
-void GuestOs::open_session(Pid pid) {
-  Process* p = procs_.find(pid);
-  assert(p != nullptr);
-  ++p->open_sessions;
-}
-
-void GuestOs::close_session(Pid pid) {
-  Process* p = procs_.find(pid);
-  assert(p != nullptr && p->open_sessions > 0);
-  --p->open_sessions;
-}
-
 int GuestOs::total_open_sessions() const {
   int n = 0;
   procs_.for_each([&n](const Process& p) { n += p.open_sessions; });
@@ -94,14 +82,13 @@ int GuestOs::total_open_sessions() const {
 std::size_t GuestOs::fire_due_timers(util::SimTime now) { return timers_.fire_due(now); }
 
 bool GuestOs::any_relevant_running(const Blacklist& blacklist) const {
-  return procs_.count_if([&blacklist](const Process& p) {
-           return p.state == ProcState::Running && !blacklist.contains(p.name);
-         }) > 0;
+  return procs_.any_of([&blacklist](const Process& p) {
+    return p.state == ProcState::Running && !blacklist.contains(p.name);
+  });
 }
 
 bool GuestOs::any_blocked_on_io() const {
-  return procs_.count_if([](const Process& p) { return p.state == ProcState::BlockedIo; }) >
-         0;
+  return procs_.any_of([](const Process& p) { return p.state == ProcState::BlockedIo; });
 }
 
 util::SimTime GuestOs::earliest_relevant_timer(const Blacklist& blacklist) const {

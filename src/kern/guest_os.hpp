@@ -80,8 +80,8 @@ class GuestOs {
   [[nodiscard]] const QuantumLedger& last_hour_ledger() const { return last_hour_; }
 
   /// Sessions (SSH/TCP) handling — the paper's second false-positive class.
-  void open_session(Pid pid);
-  void close_session(Pid pid);
+  void open_session(Pid pid) { procs_.open_session(pid); }
+  void close_session(Pid pid) { procs_.close_session(pid); }
   [[nodiscard]] int total_open_sessions() const;
 
   /// Fire all timers due at `now` (re-arming recurring services).
@@ -95,6 +95,11 @@ class GuestOs {
 
   /// Earliest armed timer not owned by a blacklisted process; kNever if none.
   [[nodiscard]] util::SimTime earliest_relevant_timer(const Blacklist& blacklist) const;
+
+  /// Changes whenever anything the suspending module reads from this guest
+  /// may have changed: a process spawned or changing state, a session
+  /// opened or closed, a timer armed, cancelled or fired.  Never decreases.
+  [[nodiscard]] std::uint64_t epoch() const { return procs_.version() + timers_.version(); }
 
  private:
   ProcessTable procs_;

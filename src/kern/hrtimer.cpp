@@ -22,6 +22,7 @@ void HrTimerQueue::arm(HrTimer& timer, util::SimTime expiry) {
   timer.expiry = expiry;
   timer.id = next_id_++;
   timer.enqueued = true;
+  ++version_;
   tree_.insert(&timer.node, [](const RbNode* a, const RbNode* b) {
     return timer_less(*timer_of(a), *timer_of(b));
   });
@@ -30,6 +31,7 @@ void HrTimerQueue::arm(HrTimer& timer, util::SimTime expiry) {
 void HrTimerQueue::cancel(HrTimer& timer) {
   if (!timer.armed()) return;
   timer.enqueued = false;
+  ++version_;
   tree_.erase(&timer.node);
 }
 
@@ -53,6 +55,7 @@ std::size_t HrTimerQueue::fire_due(util::SimTime now) {
     if (t->expiry > now) break;
     t->enqueued = false;
     tree_.erase(&t->node);
+    ++version_;
     ++fired;
     if (t->callback) t->callback(now);
   }

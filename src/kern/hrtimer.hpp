@@ -62,6 +62,9 @@ class HrTimerQueue {
   [[nodiscard]] std::size_t size() const { return tree_.size(); }
   [[nodiscard]] bool empty() const { return tree_.empty(); }
 
+  /// Bumped by every arm, every cancel of an armed timer and every firing.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   /// Visit all armed timers in expiry order.
   void for_each(const std::function<void(const HrTimer&)>& visit) const;
 
@@ -71,6 +74,7 @@ class HrTimerQueue {
  private:
   RbTree tree_;
   std::uint64_t next_id_ = 1;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace drowsy::kern

@@ -39,13 +39,14 @@ Pid ProcessTable::spawn(std::string name, ProcState initial, bool kernel_thread)
   p.state = initial;
   p.kernel_thread = kernel_thread;
   procs_.emplace(pid, std::move(p));
+  ++version_;
   return pid;
 }
 
-
-Process* ProcessTable::find(Pid pid) {
+Process& ProcessTable::at(Pid pid) {
   auto it = procs_.find(pid);
-  return it == procs_.end() ? nullptr : &it->second;
+  assert(it != procs_.end() && "unknown pid");
+  return it->second;
 }
 
 const Process* ProcessTable::find(Pid pid) const {
@@ -54,22 +55,26 @@ const Process* ProcessTable::find(Pid pid) const {
 }
 
 void ProcessTable::set_state(Pid pid, ProcState state) {
-  Process* p = find(pid);
-  assert(p != nullptr && "unknown pid");
-  p->state = state;
+  Process& p = at(pid);
+  if (p.state == state) return;
+  p.state = state;
+  ++version_;
+}
+
+void ProcessTable::open_session(Pid pid) {
+  ++at(pid).open_sessions;
+  ++version_;
+}
+
+void ProcessTable::close_session(Pid pid) {
+  Process& p = at(pid);
+  assert(p.open_sessions > 0);
+  --p.open_sessions;
+  ++version_;
 }
 
 void ProcessTable::for_each(const std::function<void(const Process&)>& visit) const {
   for (const auto& [pid, p] : procs_) visit(p);
-}
-
-std::size_t ProcessTable::count_if(
-    const std::function<bool(const Process&)>& keep) const {
-  std::size_t n = 0;
-  for (const auto& [pid, p] : procs_) {
-    if (keep(p)) ++n;
-  }
-  return n;
 }
 
 }  // namespace drowsy::kern

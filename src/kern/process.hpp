@@ -56,30 +56,48 @@ class Blacklist {
   std::vector<std::string> prefixes_;
 };
 
-/// Pid-indexed process table.
+/// Pid-indexed process table.  Every mutation goes through a method that
+/// bumps version(), so an observer can tell "nothing changed" from two
+/// equal versions without rescanning the table.
 class ProcessTable {
  public:
   /// Spawn a process; returns its pid.
   Pid spawn(std::string name, ProcState initial = ProcState::Sleeping,
             bool kernel_thread = false);
 
-  [[nodiscard]] Process* find(Pid pid);
   [[nodiscard]] const Process* find(Pid pid) const;
 
   /// Set the run state of a process; asserts the pid exists.
   void set_state(Pid pid, ProcState state);
 
+  /// Open or close one network session owned by `pid`; asserts the pid
+  /// exists (and, on close, that it has a session open).
+  void open_session(Pid pid);
+  void close_session(Pid pid);
+
   [[nodiscard]] std::size_t size() const { return procs_.size(); }
+
+  /// Bumped by spawn, by a set_state that changes the state and by every
+  /// session open or close.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   void for_each(const std::function<void(const Process&)>& visit) const;
 
-  /// Count processes in `state` for which `keep` returns true.
-  [[nodiscard]] std::size_t count_if(
-      const std::function<bool(const Process&)>& keep) const;
+  /// True when `keep` holds for some process; stops at the first match.
+  template <typename Pred>
+  [[nodiscard]] bool any_of(Pred keep) const {
+    for (const auto& [pid, p] : procs_) {
+      if (keep(p)) return true;
+    }
+    return false;
+  }
 
  private:
+  Process& at(Pid pid);
+
   std::map<Pid, Process> procs_;
   Pid next_pid_ = 1;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace drowsy::kern

@@ -21,7 +21,7 @@ namespace drowsy::obs {
 enum class EventTag : unsigned char {
   Other = 0,     ///< untagged / miscellaneous (hour loops, test events)
   Hrtimer,       ///< guest timer pumps and scheduled guest work
-  SuspendCheck,  ///< per-host suspend-daemon idle checks
+  SuspendCheck,  ///< the Controller's suspend-check tick, one per grid instant
   Request,       ///< request arrivals injected at the switch
   Wake,          ///< suspend/resume transitions, WoL sends, planned wakes
   Heartbeat,     ///< heartbeat beats, timeouts and mirror probes

@@ -25,12 +25,14 @@ bool Host::can_host(const VmSpec& vm) const {
 void Host::attach_vm(Vm& vm) {
   assert(can_host(vm.spec()) && "placement must respect capacity");
   vms_.push_back(&vm);
+  ++epoch_;
 }
 
 void Host::detach_vm(VmId id) {
   for (auto it = vms_.begin(); it != vms_.end(); ++it) {
     if ((*it)->id() == id) {
       vms_.erase(it);
+      ++epoch_;
       return;
     }
   }
@@ -78,10 +80,17 @@ double Host::suspended_fraction(util::SimTime window_start) const {
   return static_cast<double>(time_in(PowerState::S3)) / static_cast<double>(window);
 }
 
+void Host::set_reachable(bool reachable) {
+  if (reachable_ == reachable) return;
+  reachable_ = reachable;
+  ++epoch_;
+}
+
 void Host::enter_state(PowerState next) {
   account_now();
   const PowerState prev = state_;
   state_ = next;
+  ++epoch_;
   for (const auto& hook : on_transition_) hook(prev, next);
 }
 

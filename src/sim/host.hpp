@@ -121,8 +121,13 @@ class Host {
   /// suspend daemon refuses to park it — a dead NIC could never deliver
   /// the WoL frame that would bring it back.  Defaults to reachable, so
   /// deployments without a wake fabric are unaffected.
-  void set_reachable(bool reachable) { reachable_ = reachable; }
+  void set_reachable(bool reachable);
   [[nodiscard]] bool reachable() const { return reachable_; }
+
+  /// Bumped by attach_vm, detach_vm, every power-state change and every
+  /// reachability edge: with the resident guests' epochs, it tells the
+  /// suspending module whether any of its inputs changed.  Never decreases.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
  private:
   void enter_state(PowerState next);
@@ -149,6 +154,7 @@ class Host {
   int suspend_count_ = 0;
   int resume_count_ = 0;
   bool reachable_ = true;
+  std::uint64_t epoch_ = 0;
   std::vector<std::function<void()>> on_wake_;
   std::vector<std::function<void(PowerState, PowerState)>> on_transition_;
   std::vector<std::function<void()>> resume_waiters_;

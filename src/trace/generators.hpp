@@ -10,10 +10,12 @@
 //    same workload).
 //  * Google-trace-like LLMU series for the simulation study (§VI-B).
 //
-// The authors' Nutanix production traces are proprietary; per the
-// substitution policy (DESIGN.md §3) we synthesize traces with the same
-// periodic structure at the four scales the paper identifies (hour-of-day,
-// day-of-week, day-of-month, month-of-year).
+// The authors' Nutanix production traces are proprietary, so we
+// synthesize traces with the same periodic structure at the four scales
+// the paper identifies (hour-of-day, day-of-week, day-of-month,
+// month-of-year), the structure the idleness model's four SI scores
+// capture.  Real datasets enter through src/replay instead
+// (docs/replay.md).
 #pragma once
 
 #include <cstddef>

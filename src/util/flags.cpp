@@ -62,6 +62,24 @@ std::string detailed(const std::string& tool, const Command& command) {
 
 bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
+/// For "<word>... --help" where the words are a group of command paths
+/// ("shard --help"), the detailed usage of every command in the group;
+/// empty when the words name no group or no help flag follows them.
+std::string group_usage(const std::string& tool, const std::vector<Command>& commands,
+                        const std::vector<std::string>& args) {
+  std::string prefix;
+  std::size_t n = 0;
+  for (; n < args.size() && !args[n].empty() && args[n][0] != '-'; ++n) prefix += args[n] + " ";
+  if (n == 0 || n == args.size() || !is_help(args[n])) return "";
+  std::string out;
+  for (const Command& command : commands) {
+    if (command.path.compare(0, prefix.size(), prefix) != 0) continue;
+    if (!out.empty()) out += "\n";
+    out += detailed(tool, command);
+  }
+  return out;
+}
+
 }  // namespace
 
 Flag string(std::string name, std::string metavar, std::string help, std::string& out) {
@@ -204,6 +222,13 @@ int dispatch(const std::string& tool, const std::vector<Command>& commands, int 
       std::any_of(args.begin() + static_cast<std::ptrdiff_t>(consumed), args.end(), is_help)) {
     std::fputs(detailed(tool, *command).c_str(), stdout);
     return 0;
+  }
+  if (command == nullptr) {
+    const std::string group = group_usage(tool, commands, args);
+    if (!group.empty()) {
+      std::fputs(group.c_str(), stdout);
+      return 0;
+    }
   }
   const bool named = command != nullptr && !command->path.empty();
   const std::string name = named ? tool + " " + command->path : tool;

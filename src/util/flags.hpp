@@ -117,8 +117,9 @@ std::string usage(const std::string& tool, const std::vector<Command>& commands,
                   bool detail);
 
 /// The whole front end.  `--help`, `-h` or `help` prints the detailed
-/// usage to stdout (exit 0), and `<command> ... --help` (or `-h`) that
-/// command's alone; a usage error prints "<tool> <command>:
+/// usage to stdout (exit 0), `<command> ... --help` (or `-h`) that
+/// command's alone, and `<group> --help` ("shard --help") that of every
+/// command under the group; a usage error prints "<tool> <command>:
 /// <message>" and the synopsis to stderr (exit 2); otherwise the handler
 /// runs, and an exception it throws prints "<tool> <command>: <what>"
 /// (exit 1).

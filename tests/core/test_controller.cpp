@@ -215,3 +215,36 @@ TEST_F(ControllerFixture, ExternalPolicyIsUsed) {
   controller.run_hours(1);
   EXPECT_EQ(policy.calls, 5);
 }
+
+TEST_F(ControllerFixture, SuspendChecksAreOneEventPerGridInstant) {
+  // Three busy hosts: ten minutes of 30 s grid instants dispatch one
+  // SuspendCheck event each, whatever the host count, and every host still
+  // counts one check per instant.
+  for (int i = 0; i < 3; ++i) {
+    auto& h = add_host();
+    auto& vm = add_vm(t::ActivityTrace(std::vector<double>(24, 0.0)));
+    vm.guest().processes().spawn("job", drowsy::kern::ProcState::Running);
+    cluster.place(vm.id(), h.id());
+  }
+  c::Controller controller(cluster, sw);
+  controller.install();
+  q.run_until(u::minutes(10));
+  EXPECT_EQ(q.executed(), 20u);
+  for (const auto& h : cluster.hosts()) {
+    const c::SuspendStats& st = controller.suspend_module(h->id()).stats();
+    EXPECT_EQ(st.checks, 20u);
+    EXPECT_EQ(st.blocked_by_running, 20u);
+    EXPECT_EQ(h->state(), s::PowerState::S0);
+  }
+}
+
+TEST_F(ControllerFixture, DisabledSuspendSchedulesNoTick) {
+  add_host();
+  c::ControllerOptions opts;
+  opts.drowsy.suspend.enabled = false;
+  c::Controller controller(cluster, sw, opts);
+  controller.install();
+  q.run_until(u::minutes(10));
+  EXPECT_EQ(q.executed(), 0u);
+  EXPECT_EQ(controller.suspend_module(0).stats().checks, 0u);
+}

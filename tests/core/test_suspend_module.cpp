@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/controller.hpp"
 #include "trace/trace.hpp"
 
 namespace c = drowsy::core;
 namespace s = drowsy::sim;
 namespace k = drowsy::kern;
+namespace n = drowsy::net;
 namespace u = drowsy::util;
 namespace t = drowsy::trace;
 
@@ -94,7 +96,6 @@ TEST_F(SuspendFixture, DisabledModuleNeverSuspends) {
   c::SuspendConfig cfg;
   cfg.enabled = false;
   auto module = make_module(cfg);
-  module.start();  // no-op when disabled
   module.check();
   EXPECT_EQ(host->state(), s::PowerState::S0);
   EXPECT_EQ(module.stats().suspends, 0u);
@@ -190,11 +191,11 @@ TEST_F(SuspendFixture, GraceGrowsAsIpDrops) {
 }
 
 TEST_F(SuspendFixture, PeriodicChecksThroughEventQueue) {
-  c::SuspendConfig cfg;
-  cfg.check_interval = u::seconds(30);
-  auto module = make_module(cfg);
-  module.start();
+  // The Controller ticks every host's module once per 30 s grid instant.
+  n::SdnSwitch sw{q};
+  c::Controller controller(cluster, sw);
+  controller.install();
   q.run_until(u::minutes(2));
-  EXPECT_GE(module.stats().checks, 1u);
+  EXPECT_EQ(controller.suspend_module(host->id()).stats().checks, 4u);
   EXPECT_EQ(host->state(), s::PowerState::S3) << "idle host suspended by periodic check";
 }

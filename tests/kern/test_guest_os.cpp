@@ -122,3 +122,23 @@ TEST(GuestOs, EarliestRelevantTimerSkipsMonitoring) {
   ASSERT_NE(os.timers().peek(), nullptr);
   EXPECT_EQ(os.timers().peek()->expiry, u::minutes(1));
 }
+
+TEST(GuestOs, EpochMovesWithEverySuspendInput) {
+  k::GuestOs os;
+  const k::Pid svc = os.spawn_service("web");
+  std::uint64_t e = os.epoch();
+  os.processes().set_state(svc, k::ProcState::Running);
+  EXPECT_GT(os.epoch(), e);
+  e = os.epoch();
+  os.open_session(svc);
+  EXPECT_GT(os.epoch(), e);
+  e = os.epoch();
+  os.close_session(svc);
+  EXPECT_GT(os.epoch(), e);
+  e = os.epoch();
+  os.add_timer_service("backup", 0, [](u::SimTime now) { return now + 100; });
+  EXPECT_GT(os.epoch(), e);
+  e = os.epoch();
+  EXPECT_EQ(os.fire_due_timers(100), 1u);
+  EXPECT_GT(os.epoch(), e);
+}

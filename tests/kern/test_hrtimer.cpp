@@ -133,3 +133,20 @@ TEST(HrTimerQueue, ManyTimersStayConsistent) {
   q.fire_due(u::seconds(100));
   EXPECT_TRUE(q.empty());
 }
+
+TEST(HrTimerQueue, VersionBumpsOnArmCancelAndFire) {
+  k::HrTimerQueue q;
+  k::HrTimer a;
+  k::HrTimer b;
+  EXPECT_EQ(q.version(), 0u);
+  q.arm(a, 10);
+  q.arm(b, 20);
+  EXPECT_EQ(q.version(), 2u);
+  q.cancel(b);
+  q.cancel(b);  // not armed: no change
+  EXPECT_EQ(q.version(), 3u);
+  EXPECT_EQ(q.fire_due(5), 0u);
+  EXPECT_EQ(q.version(), 3u);
+  EXPECT_EQ(q.fire_due(10), 1u);
+  EXPECT_EQ(q.version(), 4u);
+}

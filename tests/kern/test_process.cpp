@@ -51,16 +51,35 @@ TEST(ProcessTable, FindAndState) {
   EXPECT_EQ(t.find(9999), nullptr);
 }
 
-TEST(ProcessTable, CountIf) {
+TEST(ProcessTable, AnyOf) {
   k::ProcessTable t;
   t.spawn("a", k::ProcState::Running);
   t.spawn("b", k::ProcState::Running);
   t.spawn("c", k::ProcState::BlockedIo);
-  EXPECT_EQ(t.count_if([](const k::Process& p) { return p.state == k::ProcState::Running; }),
-            2u);
-  EXPECT_EQ(
-      t.count_if([](const k::Process& p) { return p.state == k::ProcState::BlockedIo; }),
-      1u);
+  EXPECT_TRUE(t.any_of([](const k::Process& p) { return p.state == k::ProcState::BlockedIo; }));
+  EXPECT_FALSE(t.any_of([](const k::Process& p) { return p.state == k::ProcState::Sleeping; }));
+  int visits = 0;
+  EXPECT_TRUE(t.any_of([&visits](const k::Process& p) {
+    ++visits;
+    return p.state == k::ProcState::Running;
+  }));
+  EXPECT_EQ(visits, 1) << "stops at the first match";
+}
+
+TEST(ProcessTable, VersionCountsRealChangesOnly) {
+  k::ProcessTable t;
+  const k::Pid pid = t.spawn("a", k::ProcState::Sleeping);
+  const std::uint64_t spawned = t.version();
+  EXPECT_GT(spawned, 0u);
+  t.set_state(pid, k::ProcState::Sleeping);
+  EXPECT_EQ(t.version(), spawned) << "a no-op state write is not a change";
+  t.set_state(pid, k::ProcState::BlockedIo);
+  EXPECT_EQ(t.version(), spawned + 1);
+  t.open_session(pid);
+  EXPECT_EQ(t.find(pid)->open_sessions, 1);
+  t.close_session(pid);
+  EXPECT_EQ(t.find(pid)->open_sessions, 0);
+  EXPECT_EQ(t.version(), spawned + 3);
 }
 
 TEST(ProcessTable, ForEachVisitsAll) {

@@ -259,3 +259,21 @@ TEST_F(HostFixture, GuestTimersFireOnResume) {
   q.run_all();
   EXPECT_EQ(fired, 1);
 }
+
+TEST_F(HostFixture, EpochCountsMembershipPowerAndReachabilityChanges) {
+  auto vm = make_vm(0);
+  std::uint64_t e = host.epoch();
+  host.attach_vm(vm);
+  EXPECT_EQ(host.epoch(), ++e);
+  host.detach_vm(0);
+  EXPECT_EQ(host.epoch(), ++e);
+  host.set_reachable(true);  // already reachable: no edge
+  EXPECT_EQ(host.epoch(), e);
+  host.set_reachable(false);
+  EXPECT_EQ(host.epoch(), ++e);
+  host.set_reachable(true);
+  EXPECT_EQ(host.epoch(), ++e);
+  host.begin_suspend();  // S0 -> Suspending -> S3
+  q.run_all();
+  EXPECT_EQ(host.epoch(), e + 2);
+}

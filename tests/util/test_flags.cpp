@@ -227,3 +227,36 @@ TEST(Flags, DispatchMapsOutcomesToExitCodes) {
   EXPECT_NE(err.find("tool: unknown command \"nope\""), std::string::npos) << err;
   EXPECT_NE(err.find("tool fail: boom"), std::string::npos) << err;
 }
+
+TEST(Flags, GroupHelpListsTheGroupsCommands) {
+  const std::vector<fl::Command> commands = {
+      {"list", "List.", {}, [] { return 0; }, {}},
+      {"shard plan", "Plan.", {}, [] { return 0; }, {}},
+      {"shard run", "Run.", {}, [] { return 0; }, {}},
+      {"study run", "Study.", {}, [] { return 0; }, {}},
+  };
+  const auto dispatch = [&](std::vector<std::string> args) {
+    args.insert(args.begin(), "tool");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    return fl::dispatch("tool", commands, static_cast<int>(argv.size()), argv.data());
+  };
+  for (const std::string help : {"--help", "-h"}) {
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(dispatch({"shard", help}), 0) << help;
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out.find("tool shard plan\n  Plan.\n"), 0u) << out;
+    EXPECT_NE(out.find("tool shard run\n  Run.\n"), std::string::npos) << out;
+    EXPECT_EQ(out.find("tool study run"), std::string::npos) << "only the group: " << out;
+    EXPECT_EQ(out.find("tool list"), std::string::npos) << "only the group: " << out;
+  }
+  // Not a group, a group without a help flag, or a help flag that does not
+  // follow the group word directly: still usage errors.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(dispatch({"nope", "--help"}), 2);
+  EXPECT_EQ(dispatch({"shard"}), 2);
+  EXPECT_EQ(dispatch({"shard", "--x", "--help"}), 2);
+  EXPECT_EQ(dispatch({"shar", "--help"}), 2) << "a group is whole words";
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("tool: unknown command \"nope\""), std::string::npos) << err;
+}
