@@ -5,17 +5,18 @@
 // this way, when a waking module is defective, it is replaced with an
 // identical version." (paper §V)
 //
-// A HeartbeatMonitor checks a peer's beats every `interval`; after
-// `miss_threshold` consecutive misses it declares the peer dead and invokes
-// the failover action.  A MirroredPair couples a primary and a standby the
-// same way, but the primary's beats are not simulated: its death is the
-// only thing that can change the outcome, so kill_primary() computes the
-// instant the standby's checks would declare it dead and schedules the
-// promotion (the standby takes over using the mirrored state) there.
+// A monitor checks a peer's beats every `interval` and declares it dead
+// after `miss_threshold` consecutive checks without one.  Nothing here
+// polls: the checks exist only as arithmetic on a computed deadline.  A
+// MirroredPair's primary beats are not simulated at all, since its death
+// is the only thing that can change the outcome: kill_primary() computes
+// the instant the standby's checks would declare it dead and schedules
+// the promotion (the standby takes over using the mirrored state) there.
+// netsim::WakeFabric sends real beat frames from one fleet tick and fails
+// a host over only when a deadline passes with no beat counted.
 #pragma once
 
 #include <functional>
-#include <string>
 
 #include "net/sdn_switch.hpp"
 #include "util/sim_time.hpp"
@@ -26,34 +27,6 @@ namespace drowsy::net {
 struct HeartbeatConfig {
   util::SimTime interval = util::seconds(1);
   int miss_threshold = 3;  ///< consecutive missed beats before failover
-};
-
-/// Observes heartbeats from a peer and triggers failover when they stop.
-class HeartbeatMonitor {
- public:
-  HeartbeatMonitor(Dispatcher& dispatcher, HeartbeatConfig config,
-                   std::function<void()> on_failover);
-
-  /// Start watching.  Checks run every `interval` until failover fires;
-  /// after it, start() re-arms a full new countdown.
-  void start();
-
-  /// Record a beat from the peer (called by the transport on delivery).
-  void beat_received();
-
-  [[nodiscard]] bool failed_over() const { return failed_over_; }
-  [[nodiscard]] int consecutive_misses() const { return misses_; }
-
- private:
-  void check();
-
-  Dispatcher& dispatcher_;
-  HeartbeatConfig config_;
-  std::function<void()> on_failover_;
-  bool running_ = false;
-  bool failed_over_ = false;
-  bool beat_since_check_ = false;
-  int misses_ = 0;
 };
 
 /// A primary/standby pair.  From start() at t0 the primary's beats and

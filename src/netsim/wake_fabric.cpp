@@ -24,14 +24,10 @@ void WakeFabric::install() {
   installed_ = true;
 
   const std::size_t n = cluster_.hosts().size();
-  nic_down_.assign(n, false);
-  unreachable_.assign(n, false);
-  unreachable_since_.assign(n, 0);
-  for (const auto& host : cluster_.hosts()) {
-    mac_to_host_[host->mac()] = host->id();
-    // Chained observer: must compose with the suspend checker's hook.
-    host->add_on_wake([this] { ++stats_.resumes_observed; });
-  }
+  const util::SimTime now = cluster_.queue().now();
+  links_.assign(n, Link{.origin = now,
+                        .deadline = now + config_.hb_miss_threshold * config_.hb_interval});
+  for (const auto& host : cluster_.hosts()) mac_to_host_[host->mac()] = host->id();
 
   // Frames addressed to a downed NIC vanish on the wire: requests, wakes
   // and beats alike.  Installed after the waking module's analyzer, which
@@ -48,7 +44,7 @@ void WakeFabric::install() {
         if (it != mac_to_host_.end()) target = it->second;
       }
     }
-    if (target < nic_down_.size() && nic_down_[target]) {
+    if (target < links_.size() && links_[target].nic_down) {
       if (p.kind == net::PacketKind::WakeOnLan) {
         ++stats_.wol_dropped;
       } else {
@@ -60,20 +56,21 @@ void WakeFabric::install() {
   });
 
   if (config_.heartbeat) {
+    // Only beats are addressed to the monitor port.  One that arrives
+    // exactly one interval after it was sent, on a tick instant before
+    // that tick ran, waits for the tick to receive it in host order.
     switch_.attach_port(monitor_mac_, [this](const net::Packet& p) {
-      if (p.kind == net::PacketKind::Heartbeat) on_beat(static_cast<sim::HostId>(p.id));
+      ++stats_.beats_delivered;
+      const auto id = static_cast<sim::HostId>(p.id);
+      const util::SimTime at = cluster_.queue().now();
+      if (at == next_tick_ && at - p.sent_at == config_.hb_interval) {
+        links_[id].beat_waiting = true;
+      } else {
+        receive_beat(id, p.sent_at);
+      }
     });
     switch_.bind_ip(monitor_ip_, monitor_mac_);
-    net::HeartbeatConfig hb;
-    hb.interval = config_.hb_interval;
-    hb.miss_threshold = config_.hb_miss_threshold;
-    for (const auto& host : cluster_.hosts()) {
-      const sim::HostId id = host->id();
-      monitors_.push_back(std::make_unique<net::HeartbeatMonitor>(
-          cluster_.queue(), hb, [this, id] { on_failover(id); }));
-      monitors_.back()->start();
-      emit_beats(id);
-    }
+    schedule_beat_tick();
   }
 
   if (config_.nic_fail_host >= 0) {
@@ -92,41 +89,102 @@ void WakeFabric::install() {
   }
 }
 
-void WakeFabric::emit_beats(sim::HostId id) {
+void WakeFabric::schedule_beat_tick() {
   // Self-rescheduling forever; the run simply stops consuming events at
-  // its end time.  The WoL-capable management NIC stays powered in S3
-  // (paper §V-A), so suspended hosts keep beating — only a failed NIC
-  // goes silent.
-  cluster_.queue().schedule_after(
-      config_.hb_interval,
-      [this, id] {
-        if (!nic_down_[id]) {
-          net::Packet beat;
-          beat.kind = net::PacketKind::Heartbeat;
-          beat.dst = monitor_ip_;
-          beat.size_bytes = 64;
-          beat.id = id;
-          switch_.inject(beat);
-        }
-        emit_beats(id);
-      },
-      obs::EventTag::Heartbeat);
+  // its end time.
+  next_tick_ = cluster_.queue().now() + config_.hb_interval;
+  cluster_.queue().schedule_at(next_tick_, [this] { beat_tick(); }, obs::EventTag::Heartbeat);
 }
 
-void WakeFabric::on_beat(sim::HostId id) {
-  ++stats_.beats_delivered;
-  if (id >= monitors_.size()) return;
-  if (unreachable_[id]) {
-    // Recovery: close the outage interval and re-arm the monitor.
-    unreachable_[id] = false;
-    unreachable_accum_ += cluster_.queue().now() - unreachable_since_[id];
+void WakeFabric::beat_tick() {
+  const util::SimTime now = cluster_.queue().now();
+  // A deadline between this tick and the next lies off the tick grid (the
+  // host recovered between ticks) and gets its own event, scheduled ahead
+  // of every beat sent here: those arrive too late to count for it.
+  for (sim::HostId id = 0; id < links_.size(); ++id) {
+    const Link& link = links_[id];
+    if (link.unreachable || link.deadline <= now || link.deadline >= now + config_.hb_interval) {
+      continue;
+    }
+    cluster_.queue().schedule_at(link.deadline, [this, id] { fail_over_if_due(id); },
+                                 obs::EventTag::Heartbeat);
+  }
+  // Then host by host: the check due now, the host's previous beat if it
+  // arrived exactly now, and its next beat.  The WoL-capable management
+  // NIC stays powered in S3 (paper §V-A), so suspended hosts keep beating
+  // — only a failed NIC goes silent.
+  net::Packet beat;
+  beat.kind = net::PacketKind::Heartbeat;
+  beat.dst = monitor_ip_;
+  beat.size_bytes = 64;
+  for (sim::HostId id = 0; id < links_.size(); ++id) {
+    Link& link = links_[id];
+    fail_over_if_due(id);
+    if (link.beat_waiting) {
+      link.beat_waiting = false;
+      receive_beat(id, now - config_.hb_interval);
+    }
+    if (link.nic_down) continue;
+    beat.id = id;
+    switch_.inject(beat);
+  }
+  // Scheduled after the beats, so a beat arriving exactly one interval
+  // later runs first and waits for that tick's turn.
+  schedule_beat_tick();
+}
+
+void WakeFabric::early_tick() {
+  // Scheduled from the first early recovery, so it runs ahead of every
+  // later tick; it lives as long as an early host stays reachable.
+  bool rearm = false;
+  for (sim::HostId id = 0; id < links_.size(); ++id) {
+    if (!links_[id].early) continue;
+    fail_over_if_due(id);
+    rearm = rearm || links_[id].early;
+  }
+  if (rearm) schedule_early_tick();
+}
+
+void WakeFabric::schedule_early_tick() {
+  cluster_.queue().schedule_after(config_.hb_interval, [this] { early_tick(); },
+                                  obs::EventTag::Heartbeat);
+}
+
+void WakeFabric::fail_over_if_due(sim::HostId id) {
+  Link& link = links_[id];
+  const util::SimTime now = cluster_.queue().now();
+  // Not due, or a beat counted since the deadline event was scheduled
+  // moved the deadline on.
+  if (link.unreachable || link.deadline != now) return;
+  ++stats_.failovers;
+  link.unreachable = true;
+  link.early = false;
+  link.unreachable_since = now;
+  sim::Host* host = cluster_.host(id);
+  host->set_reachable(false);
+  DROWSY_LOG_INFO("netsim", "%s declared unreachable", host->name().c_str());
+  for (const auto& hook : on_reachability_) hook(id, false);
+}
+
+void WakeFabric::receive_beat(sim::HostId id, util::SimTime sent_at) {
+  Link& link = links_[id];
+  const util::SimTime now = cluster_.queue().now();
+  const util::SimTime interval = config_.hb_interval;
+  if (link.unreachable) {
+    // Recovery: close the outage interval and re-arm the checks on this
+    // arrival; the first of them counts this beat.
+    link.unreachable = false;
+    unreachable_accum_ += now - link.unreachable_since;
+    link.origin = now;
+    // The early tick is pending exactly while some host is early.
+    const bool early_tick_pending =
+        std::any_of(links_.begin(), links_.end(), [](const Link& l) { return l.early; });
+    link.early = now == next_tick_ && now - sent_at > interval;
+    if (link.early && !early_tick_pending) schedule_early_tick();
     sim::Host* host = cluster_.host(id);
     host->set_reachable(true);
-    monitors_[id]->start();
     DROWSY_LOG_INFO("netsim", "%s reachable again after %s", host->name().c_str(),
-                    util::format_duration(cluster_.queue().now() -
-                                          unreachable_since_[id])
-                        .c_str());
+                    util::format_duration(now - link.unreachable_since).c_str());
     for (const auto& hook : on_reachability_) hook(id, true);
     if (host->state() != sim::PowerState::S0) {
       // A wake sent during the outage died on the wire; retransmit.
@@ -134,21 +192,18 @@ void WakeFabric::on_beat(sim::HostId id) {
       wol_.send(host->mac());
     }
   }
-  monitors_[id]->beat_received();
-}
-
-void WakeFabric::on_failover(sim::HostId id) {
-  ++stats_.failovers;
-  unreachable_[id] = true;
-  unreachable_since_[id] = cluster_.queue().now();
-  sim::Host* host = cluster_.host(id);
-  host->set_reachable(false);
-  DROWSY_LOG_INFO("netsim", "%s declared unreachable", host->name().c_str());
-  for (const auto& hook : on_reachability_) hook(id, false);
+  // The first check after the arrival counts the beat.  One on the arrival
+  // instant counts it only if it was sent more than an interval earlier; a
+  // check and a beat sent on the same tick judge that check first.  Each
+  // counted beat pushes failover miss_threshold checks on.
+  const util::SimTime since = now - link.origin;
+  util::SimTime counted = link.origin + (since / interval + 1) * interval;
+  if (since > 0 && since % interval == 0 && now - sent_at > interval) counted = now;
+  link.deadline = counted + config_.hb_miss_threshold * interval;
 }
 
 void WakeFabric::set_nic_down(sim::HostId id, bool down) {
-  nic_down_[id] = down;
+  links_[id].nic_down = down;
   DROWSY_LOG_INFO("netsim", "%s NIC %s", cluster_.host(id)->name().c_str(),
                   down ? "failed" : "recovered");
 }
@@ -206,8 +261,8 @@ void WakeFabric::on_hour_end(std::int64_t hour) {
 double WakeFabric::host_unreachable_s() const {
   util::SimTime total = unreachable_accum_;
   const util::SimTime now = cluster_.queue().now();
-  for (std::size_t i = 0; i < unreachable_.size(); ++i) {
-    if (unreachable_[i]) total += now - unreachable_since_[i];
+  for (const Link& link : links_) {
+    if (link.unreachable) total += now - link.unreachable_since;
   }
   return static_cast<double>(total) / 1000.0;
 }

@@ -1,14 +1,16 @@
 // Network-in-the-loop wake fabric.
 //
 // Ties the pieces the simulation already had — net::SdnSwitch ports per
-// host NIC, net::WolSender magic packets, net::HeartbeatMonitor — into a
-// closed loop on the shared event queue:
+// host NIC and net::WolSender magic packets — into a closed loop on the
+// shared event queue:
 //
-//   * every host NIC emits a heartbeat frame through the switch to a
-//     reserved monitor port; a per-host HeartbeatMonitor declares the host
-//     unreachable after `hb_miss_threshold` missed intervals.  Unreachable
-//     hosts are excluded from placement (sim::Host::can_host fails) and
-//     from suspension until the next beat arrives;
+//   * one fleet beat tick per `hb_interval` sends every healthy host NIC's
+//     heartbeat frame through the switch to a reserved monitor port.  A
+//     host is declared unreachable after `hb_miss_threshold` missed
+//     intervals, on a computed deadline rather than a per-host poll (see
+//     "The reachability deadline" in docs/netsim.md).  Unreachable hosts
+//     are excluded from placement (sim::Host::can_host fails) and from
+//     suspension until the next beat arrives;
 //   * a declarative NIC fault (host, fail hour, recover hour) silences the
 //     host's beats and drops every frame addressed to it — requests and
 //     WoL wakes alike — while the fault lasts.  On recovery the fabric
@@ -22,17 +24,15 @@
 //     `wake_admission_window`.
 //
 // Determinism: all state advances in event order on the one queue; the
-// planner iterates hosts in id order.  The (spec, policy, seed) contract
-// of scenario runs is preserved.
+// beat tick and the planner iterate hosts in id order.  The (spec,
+// policy, seed) contract of scenario runs is preserved.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "net/heartbeat.hpp"
 #include "net/sdn_switch.hpp"
 #include "net/wol.hpp"
 #include "sim/cluster.hpp"
@@ -59,7 +59,8 @@ struct FabricConfig {
   util::SimTime wake_admission_window = util::seconds(5);  ///< max hold per wake
 };
 
-/// Aggregate fabric counters harvested into RunResult.
+/// Fabric counters for tests and logs.  Only wol_frames() and
+/// host_unreachable_s() reach RunResult.
 struct FabricStats {
   std::uint64_t planned_wakes = 0;      ///< planner-released WoL frames
   std::uint64_t recovery_wakes = 0;     ///< WoL retransmits on NIC recovery
@@ -67,7 +68,6 @@ struct FabricStats {
   std::uint64_t requests_dropped = 0;   ///< frames lost to a downed NIC
   std::uint64_t wol_dropped = 0;
   std::uint64_t failovers = 0;          ///< unreachable declarations
-  std::uint64_t resumes_observed = 0;   ///< via the chained host wake hook
 };
 
 class WakeFabric {
@@ -83,10 +83,10 @@ class WakeFabric {
     predictor_ = std::move(predictor);
   }
 
-  /// Wire the monitor port, per-host beat emitters and monitors, the
-  /// NIC-down drop analyzer and the fault schedule.  Call once, after
-  /// Controller::install() (analyzers run in installation order; the
-  /// waking module must see frames first, as on the real switch).
+  /// Wire the monitor port, the beat tick, the NIC-down drop analyzer
+  /// and the fault schedule.  Call once, after Controller::install()
+  /// (analyzers run in installation order; the waking module must see
+  /// frames first, as on the real switch).
   void install();
 
   /// Planner hook; drive from scenario::run_one's on_hour_end callback.
@@ -108,9 +108,31 @@ class WakeFabric {
   [[nodiscard]] double host_unreachable_s() const;
 
  private:
-  void emit_beats(sim::HostId id);
-  void on_beat(sim::HostId id);
-  void on_failover(sim::HostId id);
+  /// Per-host NIC and reachability state.
+  struct Link {
+    bool nic_down = false;
+    bool unreachable = false;
+    util::SimTime unreachable_since = 0;
+    /// Checks fall on origin + k * hb_interval: the install instant, or
+    /// the arrival of the beat that ended the last outage.
+    util::SimTime origin = 0;
+    /// The check that declares the host unreachable unless a beat
+    /// arriving before it is counted first.
+    util::SimTime deadline = 0;
+    /// Recovered on a tick instant before that tick ran: its checks then
+    /// come before every later tick's, so the early tick decides them.
+    bool early = false;
+    /// A beat arrived exactly one interval after it was sent, on a tick
+    /// instant before that tick ran; the tick receives it in host order.
+    bool beat_waiting = false;
+  };
+
+  void schedule_beat_tick();
+  void beat_tick();
+  void early_tick();
+  void schedule_early_tick();
+  void fail_over_if_due(sim::HostId id);
+  void receive_beat(sim::HostId id, util::SimTime sent_at);
   void set_nic_down(sim::HostId id, bool down);
 
   sim::Cluster& cluster_;
@@ -122,10 +144,8 @@ class WakeFabric {
   net::MacAddress monitor_mac_{};
   net::Ipv4 monitor_ip_{};
   std::unordered_map<net::MacAddress, sim::HostId> mac_to_host_;
-  std::vector<std::unique_ptr<net::HeartbeatMonitor>> monitors_;  // by host id
-  std::vector<bool> nic_down_;
-  std::vector<bool> unreachable_;
-  std::vector<util::SimTime> unreachable_since_;
+  std::vector<Link> links_;  // by host id
+  util::SimTime next_tick_ = 0;  ///< instant of the pending beat tick
   util::SimTime unreachable_accum_ = 0;
   FabricStats stats_;
   std::vector<std::function<void(sim::HostId, bool)>> on_reachability_;

@@ -24,7 +24,7 @@ enum class EventTag : unsigned char {
   SuspendCheck,  ///< the Controller's suspend-check tick, one per grid instant
   Request,       ///< request arrivals injected at the switch
   Wake,          ///< suspend/resume transitions, WoL sends, planned wakes
-  Heartbeat,     ///< heartbeat beats, timeouts and mirror probes
+  Heartbeat,     ///< beat ticks, reachability deadlines, NIC faults, standby promotion
   NetsimFrame,   ///< switch frame deliveries (port latency / egress pipe)
 };
 

@@ -344,8 +344,7 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
 
   // The wake fabric rides on top of the installed deployment: its drop
   // analyzer must run after the waking module's (the real switch gives
-  // the waking module first look), and its wake observer chains onto the
-  // suspend checker's hook.
+  // the waking module first look).
   if (spec.net.enabled || policy == Policy::DrowsyNetBatch) {
     netsim::FabricConfig fc;
     fc.heartbeat = spec.net.heartbeat;

@@ -61,8 +61,9 @@ class Vm {
 
   /// Convenience for timer-driven services (nightly backups, cron jobs):
   /// registers a guest timer service whose process runs for
-  /// `work_duration` after each firing, then goes back to sleep (the
-  /// sleep transition is scheduled on `queue`).  `next_occurrence(now)`
+  /// `work_duration` after each firing and goes back to sleep when the
+  /// latest run ends (the sleep transition is scheduled on `queue`; runs
+  /// overlap when the work outlasts the period).  `next_occurrence(now)`
   /// returns the next instant the job wants to run (util::kNever stops
   /// the recurrence).  Returns the job's pid.
   kern::Pid add_scheduled_job(EventQueue& queue, std::string name,

@@ -123,6 +123,22 @@ std::vector<Case> cases() {
                   "P1 750000 S0->suspending", "P1 755000 suspending->S3"},
                  {"P1 checks=120 suspends=2 grace=0 running=4 io=0 sessions=0 timer=0"}});
 
+  // A job every 60 s with 90 s of work, firing at 60, 120 and 180 s: the
+  // runs overlap, and the job sleeps only when the last one ends at 270 s.
+  // The imminent 60 s timer blocks the 30 s check.
+  out.push_back({"overlapping-runs-sleep-after-the-last", 1, 1, {},
+                 [](Fleet& f) {
+                   f.vm(0).add_scheduled_job(
+                       f.q, "cron",
+                       [](u::SimTime now) {
+                         return now < u::seconds(180) ? (now / u::minutes(1) + 1) * u::minutes(1)
+                                                      : u::kNever;
+                       },
+                       u::seconds(90));
+                 },
+                 {"P1 270000 S0->suspending", "P1 275000 suspending->S3"},
+                 {"P1 checks=120 suspends=1 grace=0 running=7 io=0 sessions=0 timer=1"}});
+
   // An open session blocks until it closes at 95 s.
   out.push_back({"session-open-then-closed", 1, 1, {},
                  [](Fleet& f) {

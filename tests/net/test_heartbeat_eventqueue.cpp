@@ -1,6 +1,7 @@
-// HeartbeatMonitor and MirroredPair driven by the real simulation
-// EventQueue: the wake fabric and the controller run them on the shared
-// queue, so the exact timing contract must hold there.
+// MirroredPair driven by the real simulation EventQueue: the controller
+// runs it on the shared queue, so the exact timing contract must hold
+// there.  The wake fabric's heartbeat deadlines are pinned end to end in
+// tests/netsim/test_wake_fabric.cpp.
 #include <gtest/gtest.h>
 
 #include "net/heartbeat.hpp"
@@ -9,59 +10,6 @@
 namespace n = drowsy::net;
 namespace s = drowsy::sim;
 namespace u = drowsy::util;
-
-TEST(HeartbeatOnEventQueue, FailoverFiresAtTheExactSimulatedInstant) {
-  // Checks run at interval, 2*interval, ...; with no beats the third
-  // check is the third consecutive miss, so failover fires at exactly
-  // 3 * interval — not a tick earlier or later.
-  s::EventQueue q;
-  n::HeartbeatConfig cfg;
-  cfg.interval = u::seconds(5);
-  cfg.miss_threshold = 3;
-  u::SimTime fired_at = -1;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { fired_at = q.now(); });
-  monitor.start();
-  q.run_until(u::minutes(5));
-  EXPECT_EQ(fired_at, 3 * u::seconds(5));
-  EXPECT_TRUE(monitor.failed_over());
-  EXPECT_EQ(monitor.consecutive_misses(), 3);
-}
-
-TEST(HeartbeatOnEventQueue, ABeatResetsTheMissCountdown) {
-  // One beat lands between the first and second check: the countdown
-  // restarts, pushing failover from 15 s out to 35 s.
-  s::EventQueue q;
-  n::HeartbeatConfig cfg;
-  cfg.interval = u::seconds(5);
-  cfg.miss_threshold = 3;
-  u::SimTime fired_at = -1;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { fired_at = q.now(); });
-  monitor.start();
-  q.schedule_at(u::seconds(7), [&] { monitor.beat_received(); });
-  q.run_until(u::minutes(5));
-  // Check at 5 s: miss 1.  Check at 10 s: beat seen, misses reset.
-  // Checks at 15/20/25 s miss again, so the third consecutive miss —
-  // and the failover — lands at 25 s.
-  EXPECT_EQ(fired_at, u::seconds(25));
-}
-
-TEST(HeartbeatOnEventQueue, RestartAfterFailoverReArms) {
-  // The wake fabric restarts a monitor on recovery; a fresh start() must
-  // clear failed_over and run a full new countdown.
-  s::EventQueue q;
-  n::HeartbeatConfig cfg;
-  cfg.interval = u::seconds(5);
-  cfg.miss_threshold = 2;
-  int fail_count = 0;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { ++fail_count; });
-  monitor.start();
-  q.run_until(u::minutes(1));
-  EXPECT_EQ(fail_count, 1);
-  monitor.start();
-  EXPECT_FALSE(monitor.failed_over());
-  q.run_until(u::minutes(2));
-  EXPECT_EQ(fail_count, 2);
-}
 
 TEST(MirroredPairOnEventQueue, FailoverInstantTable) {
   // The primary beats at t0, t0+I, ... and each check at t0+kI judges the

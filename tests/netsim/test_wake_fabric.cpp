@@ -1,5 +1,5 @@
 // End-to-end wake-fabric behaviour on the netsim-failover registry
-// scenario: one host's NIC dies 06:00-12:00, the heartbeat monitors
+// scenario: one host's NIC dies 06:00-12:00, its missed heartbeats
 // declare it unreachable, frames to it drop, and recovery re-admits it.
 #include "netsim/wake_fabric.hpp"
 
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_profile.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "util/sim_time.hpp"
@@ -84,6 +85,38 @@ TEST(WakeFabric, ReachabilityAccountingMatchesBothPolicies) {
   auto b = run_failover(sc::Policy::DrowsyNetBatch);
   EXPECT_DOUBLE_EQ(a->net->host_unreachable_s(), b->net->host_unreachable_s());
   EXPECT_EQ(a->net->stats().failovers, b->net->stats().failovers);
+}
+
+TEST(WakeFabric, HeartbeatEventsAreOneTickPerInterval) {
+  // Reachability is a computed deadline, not a per-host poll: the fabric's
+  // only heartbeat-tagged events are one fleet beat tick per 5 s interval
+  // (17,280 in a day), the NIC fault and repair, and an event for a
+  // deadline that falls between two ticks.  The 06:00:15 failover lies on
+  // the tick grid, so that tick decides it.  The beats themselves are
+  // netsim-frame deliveries.
+  namespace obs = drowsy::obs;
+  for (const bool fault : {true, false}) {
+    SCOPED_TRACE(fault ? "NIC outage 06-12 h" : "healthy fleet");
+    sc::ScenarioSpec spec = sc::ScenarioRegistry::builtin().at("netsim-failover");
+    if (!fault) spec.net.nic_fail_host = -1;
+    auto run = sc::build(spec, sc::Policy::DrowsyDc);
+    obs::EventProfile profile;
+    run->queue.set_profile(&profile);
+    run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
+                                     u::kHoursPerDay);
+    run->controller->run_hours(
+        static_cast<std::int64_t>(spec.duration_days) * u::kHoursPerDay,
+        [fabric = run->net.get()](std::int64_t h) { fabric->on_hour_end(h); });
+    run->queue.set_profile(nullptr);
+    EXPECT_EQ(profile.events(obs::EventTag::Heartbeat), fault ? 17'280u + 2 : 17'280u);
+    EXPECT_EQ(run->net->stats().failovers, fault ? 1u : 0u);
+    EXPECT_EQ(profile.events(obs::EventTag::SuspendCheck), 2'880u);
+    EXPECT_EQ(profile.events(obs::EventTag::Request), fault ? 9'197u : 9'335u);
+    EXPECT_EQ(profile.events(obs::EventTag::NetsimFrame), fault ? 73'448u : 78'451u);
+    EXPECT_EQ(profile.events(obs::EventTag::Wake), 0u);
+    EXPECT_EQ(profile.events(obs::EventTag::Hrtimer), 0u);
+    EXPECT_EQ(profile.events(obs::EventTag::Other), 0u);
+  }
 }
 
 namespace {
@@ -244,4 +277,43 @@ TEST(WakeFabric, ReachabilityEdgeTable) {
     EXPECT_EQ(edge_summary(edges, run->net->host_unreachable_s(), run->net->stats().failovers),
               row.expected);
   }
+}
+
+TEST(WakeFabric, LateRecoveryDecidesAheadOfTheSuspendTick) {
+  // Beats 1 s apart through a busy 240 ms pipe arrive seconds late and flap
+  // the hosts.  A host whose recovering beat lands on a tick instant
+  // before that tick has its later checks ahead of every tick; with the
+  // suspend tick on the same 1 s grid, a failover on such a check comes
+  // before the suspend decision, which then finds the host unreachable.
+  // The summed suspend statistics pin that order: decided after the
+  // suspend tick, those checks would count as blocked by a running
+  // process instead.
+  sc::ScenarioSpec spec = sc::ScenarioRegistry::builtin().at("netsim-failover");
+  spec.net.hb_interval = u::seconds(1);
+  spec.net.hb_miss_threshold = 1;
+  spec.net.port_latency = 40;
+  spec.net.serialization = 240;
+  spec.net.nic_fail_host = -1;
+  spec.suspend_check_interval = u::seconds(1);
+  auto run = sc::build(spec, sc::Policy::DrowsyDc);
+  std::vector<Edge> edges;
+  run->net->add_on_reachability([&](drowsy::sim::HostId id, bool reachable) {
+    edges.push_back({run->queue.now(), id, reachable});
+  });
+  run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
+                                   u::kHoursPerDay);
+  run->controller->run_hours(
+      static_cast<std::int64_t>(spec.duration_days) * u::kHoursPerDay,
+      [fabric = run->net.get()](std::int64_t h) { fabric->on_hour_end(h); });
+  std::uint64_t checks = 0;
+  std::uint64_t running = 0;
+  for (const auto& host : run->cluster.hosts()) {
+    const drowsy::core::SuspendStats& st = run->controller->suspend_module(host->id()).stats();
+    checks += st.checks;
+    running += st.blocked_by_running;
+  }
+  EXPECT_EQ(edge_summary(edges, run->net->host_unreachable_s(), run->net->stats().failovers) +
+                "; checks " + std::to_string(checks) + ", running " + std::to_string(running),
+            "391.560 s, 3510 failovers; 7020 edges, fnv 44e8b7c265e071f7; "
+            "first 1000 down 0; last 86021000 up 3; checks 345600, running 345211");
 }
