@@ -98,18 +98,7 @@ void WakeFabric::schedule_beat_tick() {
 
 void WakeFabric::beat_tick() {
   const util::SimTime now = cluster_.queue().now();
-  // A deadline between this tick and the next lies off the tick grid (the
-  // host recovered between ticks) and gets its own event, scheduled ahead
-  // of every beat sent here: those arrive too late to count for it.
-  for (sim::HostId id = 0; id < links_.size(); ++id) {
-    const Link& link = links_[id];
-    if (link.unreachable || link.deadline <= now || link.deadline >= now + config_.hb_interval) {
-      continue;
-    }
-    cluster_.queue().schedule_at(link.deadline, [this, id] { fail_over_if_due(id); },
-                                 obs::EventTag::Heartbeat);
-  }
-  // Then host by host: the check due now, the host's previous beat if it
+  // Host by host: the check due now, the host's previous beat if it
   // arrived exactly now, and its next beat.  The WoL-capable management
   // NIC stays powered in S3 (paper §V-A), so suspended hosts keep beating
   // — only a failed NIC goes silent.
@@ -124,6 +113,10 @@ void WakeFabric::beat_tick() {
       link.beat_waiting = false;
       receive_beat(id, now - config_.hb_interval);
     }
+    // Only a deadline off the tick grid (the host recovered between ticks)
+    // can lead between two ticks; receive_beat() leads one set later.
+    const util::SimTime lead = link.deadline - config_.hb_interval;
+    if (lead > now && lead < now + config_.hb_interval) lead_off_grid_deadline(id);
     if (link.nic_down) continue;
     beat.id = id;
     switch_.inject(beat);
@@ -131,6 +124,19 @@ void WakeFabric::beat_tick() {
   // Scheduled after the beats, so a beat arriving exactly one interval
   // later runs first and waits for that tick's turn.
   schedule_beat_tick();
+}
+
+void WakeFabric::lead_off_grid_deadline(sim::HostId id) {
+  // A poll scheduled each check from the one before, an interval earlier.
+  // Scheduled from there, the failover event keeps the check's place among
+  // the other events due at the deadline (a suspend tick, a planned wake).
+  cluster_.queue().schedule_at(
+      links_[id].deadline - config_.hb_interval,
+      [this, id] {
+        cluster_.queue().schedule_after(config_.hb_interval, [this, id] { fail_over_if_due(id); },
+                                        obs::EventTag::Heartbeat);
+      },
+      obs::EventTag::Heartbeat);
 }
 
 void WakeFabric::early_tick() {
@@ -153,8 +159,7 @@ void WakeFabric::schedule_early_tick() {
 void WakeFabric::fail_over_if_due(sim::HostId id) {
   Link& link = links_[id];
   const util::SimTime now = cluster_.queue().now();
-  // Not due, or a beat counted since the deadline event was scheduled
-  // moved the deadline on.
+  // Not due, or a beat counted since the deadline was led moved it on.
   if (link.unreachable || link.deadline != now) return;
   ++stats_.failovers;
   link.unreachable = true;
@@ -200,6 +205,9 @@ void WakeFabric::receive_beat(sim::HostId id, util::SimTime sent_at) {
   util::SimTime counted = link.origin + (since / interval + 1) * interval;
   if (since > 0 && since % interval == 0 && now - sent_at > interval) counted = now;
   link.deadline = counted + config_.hb_miss_threshold * interval;
+  // A deadline whose lead falls before the pending tick was set too late
+  // for the last tick to lead it (off the tick grid, miss_threshold 1).
+  if (link.deadline - interval < next_tick_) lead_off_grid_deadline(id);
 }
 
 void WakeFabric::set_nic_down(sim::HostId id, bool down) {

@@ -131,6 +131,7 @@ class WakeFabric {
   void beat_tick();
   void early_tick();
   void schedule_early_tick();
+  void lead_off_grid_deadline(sim::HostId id);
   void fail_over_if_due(sim::HostId id);
   void receive_beat(sim::HostId id, util::SimTime sent_at);
   void set_nic_down(sim::HostId id, bool down);

@@ -279,41 +279,61 @@ TEST(WakeFabric, ReachabilityEdgeTable) {
   }
 }
 
-TEST(WakeFabric, LateRecoveryDecidesAheadOfTheSuspendTick) {
+TEST(WakeFabric, LateRecoveriesDecideWhereThePollDid) {
   // Beats 1 s apart through a busy 240 ms pipe arrive seconds late and flap
-  // the hosts.  A host whose recovering beat lands on a tick instant
-  // before that tick has its later checks ahead of every tick; with the
-  // suspend tick on the same 1 s grid, a failover on such a check comes
-  // before the suspend decision, which then finds the host unreachable.
-  // The summed suspend statistics pin that order: decided after the
-  // suspend tick, those checks would count as blocked by a running
-  // process instead.
-  sc::ScenarioSpec spec = sc::ScenarioRegistry::builtin().at("netsim-failover");
-  spec.net.hb_interval = u::seconds(1);
-  spec.net.hb_miss_threshold = 1;
-  spec.net.port_latency = 40;
-  spec.net.serialization = 240;
-  spec.net.nic_fail_host = -1;
-  spec.suspend_check_interval = u::seconds(1);
-  auto run = sc::build(spec, sc::Policy::DrowsyDc);
-  std::vector<Edge> edges;
-  run->net->add_on_reachability([&](drowsy::sim::HostId id, bool reachable) {
-    edges.push_back({run->queue.now(), id, reachable});
-  });
-  run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
-                                   u::kHoursPerDay);
-  run->controller->run_hours(
-      static_cast<std::int64_t>(spec.duration_days) * u::kHoursPerDay,
-      [fabric = run->net.get()](std::int64_t h) { fabric->on_hour_end(h); });
-  std::uint64_t checks = 0;
-  std::uint64_t running = 0;
-  for (const auto& host : run->cluster.hosts()) {
-    const drowsy::core::SuspendStats& st = run->controller->suspend_module(host->id()).stats();
-    checks += st.checks;
-    running += st.blocked_by_running;
+  // the hosts.  A failover lands before a suspend tick due on the same
+  // instant exactly when the per-host poll's check there was scheduled
+  // first, and the suspend decision then finds the host unreachable.  The
+  // summed suspend statistics pin that order; decided after the suspend
+  // tick, those checks would count as blocked by a running process.
+  //   * Suspend ticks on the 1 s beat grid: a host whose recovering beat
+  //     lands on a tick instant before that tick has its later checks
+  //     ahead of every tick.
+  //   * Suspend ticks every 700 ms: a host that recovered between ticks
+  //     has its checks off the beat grid, each scheduled one interval
+  //     ahead, so it fails over before a suspend tick scheduled after
+  //     that lead instant and after one scheduled before it.
+  struct Row {
+    u::SimTime suspend_check_interval;
+    const char* expected;
+  };
+  const std::vector<Row> rows = {
+      {u::seconds(1),
+       "391.560 s, 3510 failovers; 7020 edges, fnv 44e8b7c265e071f7; "
+       "first 1000 down 0; last 86021000 up 3; checks 345600, running 345211"},
+      {700,
+       "391.560 s, 3510 failovers; 7020 edges, fnv 44e8b7c265e071f7; "
+       "first 1000 down 0; last 86021000 up 3; checks 493712, running 493161"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.suspend_check_interval);
+    sc::ScenarioSpec spec = sc::ScenarioRegistry::builtin().at("netsim-failover");
+    spec.net.hb_interval = u::seconds(1);
+    spec.net.hb_miss_threshold = 1;
+    spec.net.port_latency = 40;
+    spec.net.serialization = 240;
+    spec.net.nic_fail_host = -1;
+    spec.suspend_check_interval = row.suspend_check_interval;
+    auto run = sc::build(spec, sc::Policy::DrowsyDc);
+    std::vector<Edge> edges;
+    run->net->add_on_reachability([&](drowsy::sim::HostId id, bool reachable) {
+      edges.push_back({run->queue.now(), id, reachable});
+    });
+    run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
+                                     u::kHoursPerDay);
+    run->controller->run_hours(
+        static_cast<std::int64_t>(spec.duration_days) * u::kHoursPerDay,
+        [fabric = run->net.get()](std::int64_t h) { fabric->on_hour_end(h); });
+    std::uint64_t checks = 0;
+    std::uint64_t running = 0;
+    for (const auto& host : run->cluster.hosts()) {
+      const drowsy::core::SuspendStats& st =
+          run->controller->suspend_module(host->id()).stats();
+      checks += st.checks;
+      running += st.blocked_by_running;
+    }
+    EXPECT_EQ(edge_summary(edges, run->net->host_unreachable_s(), run->net->stats().failovers) +
+                  "; checks " + std::to_string(checks) + ", running " + std::to_string(running),
+              row.expected);
   }
-  EXPECT_EQ(edge_summary(edges, run->net->host_unreachable_s(), run->net->stats().failovers) +
-                "; checks " + std::to_string(checks) + ", running " + std::to_string(running),
-            "391.560 s, 3510 failovers; 7020 edges, fnv 44e8b7c265e071f7; "
-            "first 1000 down 0; last 86021000 up 3; checks 345600, running 345211");
 }
