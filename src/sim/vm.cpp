@@ -27,27 +27,23 @@ kern::Pid Vm::add_scheduled_job(EventQueue& queue, std::string name,
   // The pid is only known after add_timer_service returns, but the on_fire
   // closure needs it: route through shared storage.  Runs overlap when the
   // work outlasts the period; only the end of the latest run sleeps the job.
-  struct Job {
-    kern::Pid pid = 0;
-    std::uint64_t runs = 0;
-  };
-  auto job = std::make_shared<Job>();
+  auto pid_box = std::make_shared<kern::Pid>(0);
+  auto runs = std::make_shared<std::uint64_t>(0);
   kern::GuestOs* guest = guest_.get();
-  job->pid = guest->add_timer_service(
+  const kern::Pid pid = guest->add_timer_service(
       std::move(name), queue.now(), std::move(next_occurrence),
-      [&queue, guest, job, work_duration, on_run = std::move(on_run)](
+      [&queue, guest, pid_box, runs, work_duration, on_run = std::move(on_run)](
           util::SimTime fired_at) {
         if (on_run) on_run(fired_at);
         queue.schedule_after(
             work_duration,
-            [guest, job, run = ++job->runs] {
-              if (run == job->runs) {
-                guest->processes().set_state(job->pid, kern::ProcState::Sleeping);
-              }
+            [guest, pid_box, runs, run = ++*runs] {
+              if (run == *runs) guest->processes().set_state(*pid_box, kern::ProcState::Sleeping);
             },
             obs::EventTag::Hrtimer);
       });
-  return job->pid;
+  *pid_box = pid;
+  return pid;
 }
 
 double Vm::activity_at_hour(std::int64_t h) const {
